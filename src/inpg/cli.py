@@ -7,8 +7,11 @@ Examples:
     inpg plot --out results/
     inpg audit --out results/
 
-`run` exits 0 iff every enabled theorem check passed. All outputs are
-deterministic for fixed flags and base seed.
+`run` and `audit` report the same five theorem checks (initial distance,
+Jeffrey sum, monotone, theorem1, sandwich). `run` exits 0 when every check
+passes, 1 when a check fails and 2 on misuse (bad flags or an unreadable game
+file); `audit` exits 0 or 1. All outputs are deterministic for fixed flags
+and base seed.
 """
 
 from __future__ import annotations
@@ -17,17 +20,16 @@ import argparse
 import os
 import sys
 
-from .dynamics import RunConfig
+from .dynamics import METHODS, RunConfig
 from .game import load_game, make_general_potential, make_identical_interest, save_game, summarize_game
 from .harness import (
-    CHECK_NAMES,
+    CHECKS,
     GameSpec,
-    RunSummary,
-    evaluate_checks,
     audit_directory,
     plot_directory,
     run_experiment,
     seeded_game_specs,
+    summary_from_meta,
 )
 
 
@@ -50,14 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run learning dynamics, write CSV logs")
     _add_game_flags(p)
     p.add_argument("--game", help="load the game from a file instead of generating")
-    p.add_argument("--method", choices=("npg", "mwu", "pg"), default="npg")
+    p.add_argument("--method", choices=METHODS, default="npg")
     p.add_argument("--tau", type=float, default=0.0, help="entropy regularization (npg only)")
     p.add_argument("--eta", default="auto", help="learning rate, a float or 'auto'")
     p.add_argument("--iters", type=int, default=1000, help="iteration budget T")
     p.add_argument("--runs", type=int, default=1, help="independent runs (seeds base, base+1, ...)")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--check", choices=CHECK_NAMES + ("all",), default="all",
-                   help="theorem checks to enforce (default all)")
     p.add_argument("--stop-qre-gap", type=float, default=None,
                    help="optional early exit once qre_gap falls below this value")
     p.add_argument("--jobs", type=int, default=1, help="concurrent runs (extension flag)")
@@ -75,7 +75,11 @@ def _cmd_generate(args) -> int:
         print("generate: --agents and --actions are required", file=sys.stderr)
         return 2
     maker = make_identical_interest if args.kind == "identical" else make_general_potential
-    game = maker(args.agents, args.actions, args.seed)
+    try:
+        game = maker(args.agents, args.actions, args.seed)
+    except ValueError as exc:
+        print(f"generate: {exc}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
     base = f"game_{args.kind}_N{args.agents}_A{args.actions}_seed{args.seed}"
     game_path = os.path.join(args.out, base + ".pg")
@@ -87,29 +91,26 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    method = {"pg": "pg_direct"}.get(args.method, args.method)
-    eta = args.eta if args.eta == "auto" else float(args.eta)
-    enabled = set(CHECK_NAMES) if args.check == "all" else {args.check}
-    config = RunConfig(
-        method=method,
-        tau=args.tau,
-        eta=eta,
-        max_iters=args.iters,
-        monotonicity_check="monotone" in enabled,
-        stop_qre_gap=args.stop_qre_gap,
-    )
-    if args.game:
-        if args.runs != 1:
-            print("run: --game supplies one fixed game; dynamics are deterministic, "
-                  "so --runs must be 1", file=sys.stderr)
-            return 2
-        game_seed = load_game(args.game).seed
-        specs = [GameSpec(source="file", path=args.game, seed=game_seed)]
-    else:
-        if args.agents is None or args.actions is None:
-            print("run: provide --game or both --agents and --actions", file=sys.stderr)
-            return 2
-        specs = seeded_game_specs(args.kind, args.agents, args.actions, args.seed, args.runs)
+    try:
+        config = RunConfig(
+            method=args.method,
+            tau=args.tau,
+            eta=args.eta if args.eta == "auto" else float(args.eta),
+            max_iters=args.iters,
+            stop_qre_gap=args.stop_qre_gap,
+        )
+        if args.game:
+            if args.runs != 1:
+                raise ValueError("--game supplies one fixed game; dynamics are deterministic, "
+                                 "so --runs must be 1")
+            specs = [GameSpec(source="file", path=args.game, seed=load_game(args.game).seed)]
+        elif args.agents is None or args.actions is None:
+            raise ValueError("provide --game or both --agents and --actions")
+        else:
+            specs = seeded_game_specs(args.kind, args.agents, args.actions, args.seed, args.runs)
+    except (OSError, ValueError) as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
 
     results = run_experiment(args.out, specs, [config], jobs=args.jobs)
     failed = []
@@ -118,9 +119,11 @@ def _cmd_run(args) -> int:
             print(f"{base}: FAILED check monotone: {err}")
             failed.append((base, "monotone"))
             continue
-        summary = RunSummary(**{k: (float("nan") if v is None else v) for k, v in meta.items()})
-        for res in evaluate_checks(summary, enabled):
-            print(f"{base}: {res.detail}")
+        summary = summary_from_meta(meta)
+        for check in CHECKS:
+            res = check(summary)
+            if res.detail:
+                print(f"{base}: {res.detail}")
             if not res.ok:
                 failed.append((base, res.name))
     if failed:

@@ -15,8 +15,8 @@ utilities:
 A run records, per iteration: the regularized potential, both equilibrium
 gaps, the Jeffrey divergence of the step, and running gap averages. With a
 compliant learning rate the regularized potential must rise by at least
-J(step)/(2 eta) every iteration; `run` enforces this when asked and raises
-MonotonicityError with full context otherwise.
+J(step)/(2 eta) every iteration; `run` enforces this for compliant npg runs
+and raises MonotonicityError with full context otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ from .policy import (
 
 METHODS = ("npg", "mwu", "pg_direct")
 
+# Largest per-step shortfall of phi_tau below J/(2 eta) that rounding can explain.
+MONOTONICITY_TOL = 1e-9
+
 
 class ParameterError(ValueError):
     """Run configuration outside the algorithm's admissible range."""
@@ -69,6 +72,23 @@ def default_learning_rate(num_agents: int, phi_max: float, tau: float) -> float:
     if num_agents < 1 or phi_max <= 0 or tau < 0:
         raise ValueError("need num_agents >= 1, phi_max > 0, tau >= 0")
     return 1.0 / (2.0 * (min(math.sqrt(num_agents), 2.0 * phi_max) + tau))
+
+
+def improvement_guaranteed(method: str, eta: float, tau: float, num_agents: int, phi_max: float) -> bool:
+    """Whether every step must raise phi_tau by J/(2 eta): npg with eta <= default_learning_rate."""
+    return method == "npg" and eta <= default_learning_rate(num_agents, phi_max, tau) * (1 + 1e-12)
+
+
+def check_step_params(eta: float, tau: float) -> None:
+    """Admissible update parameters: finite eta > 0, finite tau >= 0 and eta*tau <= 1."""
+    if not 0.0 < eta < math.inf:
+        raise ParameterError(f"eta must be positive and finite, got {eta!r}")
+    if not 0.0 <= tau < math.inf:
+        raise ParameterError(f"tau must be nonnegative and finite, got {tau!r}")
+    if eta * tau > 1.0:
+        raise ParameterError(
+            f"eta*tau = {eta * tau:g} > 1: the current policy's exponent would be negative"
+        )
 
 
 def pg_direct_learning_rate(num_agents: int, num_actions: int) -> float:
@@ -101,15 +121,13 @@ class RunConfig:
     max_iters: int = 1000
     seed: int = 0
     log_every: int = 0
-    monotonicity_check: bool = True
-    monotonicity_tol: float = 1e-9
     stop_qre_gap: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.method == "npg" and self.tau <= 0:
-            raise ParameterError("npg requires tau > 0 (use method='mwu' for tau = 0)")
+        if self.method == "npg" and not 0.0 < self.tau < math.inf:
+            raise ParameterError("npg requires a finite tau > 0 (use method='mwu' for tau = 0)")
         if self.method in ("mwu", "pg_direct") and self.tau != 0:
             raise ParameterError(f"{self.method} is unregularized; tau must be 0")
         if self.max_iters < 0:
@@ -119,8 +137,8 @@ class RunConfig:
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ParameterError(f"eta must be a positive float or 'auto', got {self.eta!r}")
-        elif self.eta <= 0:
-            raise ParameterError("eta must be positive")
+        else:
+            check_step_params(self.eta, self.tau)
 
     def resolve_eta(self, game: PotentialGame) -> float:
         if self.eta == "auto":
@@ -131,14 +149,12 @@ class RunConfig:
 
 
 @dataclass
-class IterateLog:
-    """Logged trajectory of one run plus run-level diagnostics.
+class RunSummary:
+    """Run-level scalars of one run: its meta file holds exactly these fields.
 
-    Column arrays are aligned with `iters`. qre_gap columns are NaN for
-    unregularized methods, jeffrey_step is NaN for pg_direct (its projection
-    can zero out actions) and 0.0 on the final row. avg_* at row t is the mean
-    over iterates 1..t; at t = 0 it repeats the initial gap. Sums and slacks
-    are accumulated over every step, not just logged ones.
+    qre-gap scalars are NaN for unregularized methods, sum_jeffrey for pg_direct
+    (its projection can zero out actions), and min_monotonicity_slack unless
+    improvement_guaranteed holds. Sums and slacks cover every step, logged or not.
     """
 
     method: str
@@ -151,13 +167,6 @@ class IterateLog:
     game_kind: str
     game_seed: int
     num_steps: int
-    iters: np.ndarray
-    phi_tau: np.ndarray
-    ne_gap: np.ndarray
-    qre_gap: np.ndarray
-    jeffrey_step: np.ndarray
-    avg_ne_gap: np.ndarray
-    avg_qre_gap: np.ndarray
     phi_tau_initial: float
     phi_tau_final: float
     sum_ne_gap: float
@@ -169,7 +178,6 @@ class IterateLog:
     min_monotonicity_slack: float
     max_sandwich_slack: float
     stopped_early: bool
-    final_policy: JointPolicy = field(repr=False)
 
     @property
     def avg_ne_gap_final(self) -> float:
@@ -180,24 +188,48 @@ class IterateLog:
         return self.sum_qre_gap / self.num_steps if self.num_steps else float("nan")
 
 
+@dataclass
+class IterateLog(RunSummary):
+    """Logged trajectory of one run plus its RunSummary scalars.
+
+    Column arrays are aligned with `iters`. qre_gap columns are NaN for
+    unregularized methods, jeffrey_step is NaN for pg_direct and 0.0 on the
+    final row. avg_* at row t is the mean over iterates 1..t; at t = 0 it
+    repeats the initial gap.
+    """
+
+    iters: np.ndarray
+    phi_tau: np.ndarray
+    ne_gap: np.ndarray
+    qre_gap: np.ndarray
+    jeffrey_step: np.ndarray
+    avg_ne_gap: np.ndarray
+    avg_qre_gap: np.ndarray
+    final_policy: JointPolicy = field(repr=False)
+
+
 def npg_update_logs(log_probs: np.ndarray, r: np.ndarray, eta: float, tau: float) -> np.ndarray:
     """Multiplicative update in log space; tau = 0 gives multiplicative weights."""
     z = (1.0 - eta * tau) * log_probs + eta * r
     return z - logsumexp(z, axis=-1, keepdims=True)
 
 
+def step_update(
+    method: str, log_probs: np.ndarray, probs: np.ndarray, r: np.ndarray, eta: float, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """New (log_probs, probs) from marginals r; pg_direct floors zeros at PROB_FLOOR before the log."""
+    if method == "pg_direct":
+        new_probs = pg_direct_update_probs(probs, r, eta)
+        return np.log(np.maximum(new_probs, PROB_FLOOR)), new_probs
+    new_lp = npg_update_logs(log_probs, r, eta, tau)
+    return new_lp, np.exp(new_lp)
+
+
 def npg_step(game: PotentialGame, policy: JointPolicy, eta: float, tau: float) -> JointPolicy:
     """One simultaneous update of every agent from the current marginalized utilities."""
-    if eta <= 0:
-        raise ParameterError("eta must be positive")
-    if tau < 0:
-        raise ParameterError("tau must be nonnegative")
-    if eta * tau > 1.0:
-        raise ParameterError(
-            f"eta*tau = {eta * tau:g} > 1: the current policy's exponent would be negative"
-        )
+    check_step_params(eta, tau)
     r, _ = marginal_sweep(game, policy.probs)
-    return JointPolicy(npg_update_logs(policy.log_probs, r, eta, tau))
+    return JointPolicy(step_update("npg", policy.log_probs, policy.probs, r, eta, tau)[0])
 
 
 def pg_direct_update_probs(probs: np.ndarray, r: np.ndarray, eta: float) -> np.ndarray:
@@ -206,33 +238,22 @@ def pg_direct_update_probs(probs: np.ndarray, r: np.ndarray, eta: float) -> np.n
 
 
 def pg_direct_step(game: PotentialGame, policy: JointPolicy, eta: float) -> JointPolicy:
-    if eta <= 0:
-        raise ParameterError("eta must be positive")
+    check_step_params(eta, 0.0)
     r, _ = marginal_sweep(game, policy.probs)
-    new_probs = pg_direct_update_probs(policy.probs, r, eta)
-    return JointPolicy.from_probs(new_probs)
+    return JointPolicy(step_update("pg_direct", policy.log_probs, policy.probs, r, eta, 0.0)[0])
 
 
 def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     """Run the configured dynamic from uniform policies for max_iters steps.
 
     All metrics at an iterate are computed from a single marginalized-utility
-    sweep. When monotonicity_check is set, the method is npg, and eta does not
-    exceed default_learning_rate, every step must satisfy
-    phi_tau[t+1] - phi_tau[t] >= J(step)/(2 eta) - monotonicity_tol.
+    sweep. When improvement_guaranteed holds, every step must satisfy
+    phi_tau[t+1] - phi_tau[t] >= J(step)/(2 eta) - MONOTONICITY_TOL.
     """
     eta = config.resolve_eta(game)
     tau = config.tau
     method = config.method
-    if method in ("npg", "mwu") and eta * tau > 1.0:
-        raise ParameterError(f"eta*tau = {eta * tau:g} > 1 is outside the update's range")
-
-    mono_enabled = (
-        config.monotonicity_check
-        and method == "npg"
-        and eta <= default_learning_rate(game.num_agents, game.phi_max, tau) * (1.0 + 1e-12)
-    )
-    log_sandwich = tau > 0.0
+    mono_enabled = improvement_guaranteed(method, eta, tau, game.num_agents, game.phi_max)
     log_a = math.log(game.num_actions)
 
     def should_log(t: int) -> bool:
@@ -240,8 +261,7 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
             return t % config.log_every == 0
         return t <= 1000 or t % 10 == 0
 
-    n = game.num_agents
-    lp = np.full((n, game.num_actions), -math.log(game.num_actions))
+    lp = np.full((game.num_agents, game.num_actions), -math.log(game.num_actions))
     probs = np.exp(lp)
     r, phi_mean = marginal_sweep(game, probs)
 
@@ -265,7 +285,7 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     min_qre = qre
     sum_j = 0.0 if track_jeffrey else float("nan")
     min_slack = math.inf if mono_enabled else float("nan")
-    max_sandwich = (ne - qre - tau * log_a) if log_sandwich else float("nan")
+    max_sandwich = (ne - qre - tau * log_a) if tau > 0 else float("nan")
 
     cols: list[tuple] = []  # (t, phi_tau, ne, qre, jeffrey, avg_ne, avg_qre)
 
@@ -277,14 +297,8 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     stopped_early = False
     steps_done = 0
     for t in range(config.max_iters):
-        if method == "pg_direct":
-            new_probs = pg_direct_update_probs(probs, r, eta)
-            new_lp = np.log(np.maximum(new_probs, PROB_FLOOR))
-            j = float("nan")
-        else:
-            new_lp = npg_update_logs(lp, r, eta, tau)
-            new_probs = np.exp(new_lp)
-            j = jeffrey_logs(new_lp, lp)
+        new_lp, new_probs = step_update(method, lp, probs, r, eta, tau)
+        j = jeffrey_logs(new_lp, lp) if track_jeffrey else float("nan")
 
         if should_log(t):
             avg_ne, avg_qre = averages(t)
@@ -296,7 +310,7 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
         if mono_enabled:
             slack = phi_tau_next - phi_tau - j / (2.0 * eta)
             min_slack = min(min_slack, slack)
-            if slack < -config.monotonicity_tol:
+            if slack < -MONOTONICITY_TOL:
                 raise MonotonicityError(t, phi_tau, phi_tau_next, j)
         phi_tau = phi_tau_next
         ne, qre = gaps_of(r, lp, probs)
@@ -344,14 +358,14 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
         min_qre_gap=min_qre,
         sum_jeffrey=sum_j,
         initial_br_log_distance=d0,
-        min_monotonicity_slack=min_slack if mono_enabled else float("nan"),
+        min_monotonicity_slack=min_slack,
         max_sandwich_slack=max_sandwich,
         stopped_early=stopped_early,
         final_policy=JointPolicy(lp.copy()),
     )
 
 
-def theorem_average_gap_sides(log: IterateLog) -> tuple[float, float] | None:
+def theorem_average_gap_sides(log: RunSummary) -> tuple[float, float] | None:
     """Measured average QRE-gap over iterates 1..T and its guaranteed upper bound.
 
     Bound: (2/(eta tau T)) * (tau * D0 + sqrt(2 eta T (phi_tau[T] - phi_tau[0]))),
@@ -369,21 +383,21 @@ def theorem_average_gap_sides(log: IterateLog) -> tuple[float, float] | None:
     return lhs, rhs
 
 
-def initial_distance_bound_sides(log: IterateLog) -> tuple[float, float] | None:
+def initial_distance_bound_sides(log: RunSummary) -> tuple[float, float] | None:
     """Initial log-distance to the best response vs its uniform-start bound 2/tau."""
     if log.tau <= 0:
         return None
     return log.initial_br_log_distance, 2.0 / log.tau
 
 
-def jeffrey_sum_sides(log: IterateLog) -> tuple[float, float] | None:
+def jeffrey_sum_sides(log: RunSummary) -> tuple[float, float] | None:
     """Total policy movement sum_t J(step_t) vs its bound 2 eta (phi_tau[T] - phi_tau[0])."""
     if log.method == "pg_direct" or log.num_steps == 0:
         return None
     return log.sum_jeffrey, 2.0 * log.eta * (log.phi_tau_final - log.phi_tau_initial)
 
 
-def predicted_iterations(log: IterateLog, epsilon: float) -> float:
+def predicted_iterations(log: RunSummary, epsilon: float) -> float:
     """Iteration-count scale min(sqrt(N), phi_max) * phi_max / (tau^2 eps^2) for reaching eps."""
     return (
         min(math.sqrt(log.num_agents), log.phi_max)

@@ -21,6 +21,7 @@ from . import _contract
 from .rng import beta_half_half, uniform_array
 
 DEFAULT_DENSE_CAP = 2**24
+MAX_AGENTS = 64  # numpy's limit on the number of array dimensions
 
 _MAGIC = b"INPGGAME"
 _FORMAT_VERSION = 1
@@ -85,8 +86,11 @@ class PotentialViolation:
 
 
 def require_capacity(num_agents: int, num_actions: int, max_entries: int = DEFAULT_DENSE_CAP) -> int:
+    """Joint-action entry count under the cap; num_agents is bounded before the power is formed."""
     if num_agents < 1 or num_actions < 1:
         raise ValueError("num_agents and num_actions must be positive")
+    if num_agents > MAX_AGENTS:
+        raise GameSizeError(f"{num_agents} agents exceed the limit of {MAX_AGENTS} tensor axes")
     entries = num_actions**num_agents
     if entries > max_entries:
         raise GameSizeError(
@@ -231,14 +235,15 @@ def load_game(path) -> PotentialGame:
         magic = f.read(8)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a game file (bad magic {magic!r})")
-        version, num_agents, num_actions, phi_max, seed, tag_len = struct.unpack(
-            "<IIIdQI", f.read(32)
-        )
+        header = f.read(32)
+        if len(header) != 32:
+            raise ValueError(f"{path}: truncated header")
+        version, num_agents, num_actions, phi_max, seed, tag_len = struct.unpack("<IIIdQI", header)
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        kind = f.read(tag_len).decode("utf-8")
+        entries = require_capacity(num_agents, num_actions)
         shape = (num_actions,) * num_agents
-        entries = num_actions**num_agents
+        kind = f.read(tag_len).decode("utf-8")
         payload = f.read()
     expected = 8 * entries * (1 + num_agents)
     if len(payload) != expected:

@@ -20,37 +20,36 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import svg
 from .dynamics import (
+    MONOTONICITY_TOL,
     IterateLog,
     MonotonicityError,
     RunConfig,
-    default_learning_rate,
+    RunSummary,
+    improvement_guaranteed,
     initial_distance_bound_sides,
     jeffrey_sum_sides,
     predicted_iterations,
     run,
     theorem_average_gap_sides,
 )
-from .game import PotentialGame, load_game, make_general_potential, make_identical_interest
+from .game import (
+    PotentialGame,
+    load_game,
+    make_general_potential,
+    make_identical_interest,
+    require_capacity,
+)
 from .policy import policy_to_csv
 from .rng import run_seed
 
 CSV_HEADER = "iter,phi_tau,ne_gap,qre_gap,jeffrey_step,avg_ne_gap,avg_qre_gap"
-CHECK_NAMES = ("monotone", "theorem1", "sandwich")
 SANDWICH_TOL = 1e-10
-
-_META_FIELDS = (
-    "method", "tau", "eta", "seed", "num_agents", "num_actions", "phi_max",
-    "game_kind", "game_seed", "num_steps", "phi_tau_initial", "phi_tau_final",
-    "sum_ne_gap", "sum_qre_gap", "min_ne_gap", "min_qre_gap", "sum_jeffrey",
-    "initial_br_log_distance", "min_monotonicity_slack", "max_sandwich_slack",
-    "stopped_early",
-)
 
 
 def _f17(x: float) -> str:
@@ -99,8 +98,17 @@ def _jsonable(v):
     return v
 
 
-def meta_from_log(log: IterateLog) -> dict:
-    return {name: _jsonable(getattr(log, name)) for name in _META_FIELDS}
+def meta_from_log(log: RunSummary) -> dict:
+    """The meta JSON object: every RunSummary field, NaN as None (null)."""
+    return {f.name: _jsonable(getattr(log, f.name)) for f in fields(RunSummary)}
+
+
+def summary_from_meta(meta: dict) -> RunSummary:
+    """Inverse of meta_from_log; a missing or null field reads as NaN."""
+    nan = float("nan")
+    return RunSummary(**{
+        f.name: (nan if meta.get(f.name) is None else meta[f.name]) for f in fields(RunSummary)
+    })
 
 
 def write_run_meta(log: IterateLog, path) -> None:
@@ -109,39 +117,9 @@ def write_run_meta(log: IterateLog, path) -> None:
         f.write("\n")
 
 
-@dataclass
-class RunSummary:
-    """Run-level scalars, reconstructable from a meta file; duck-types IterateLog for audits."""
-
-    method: str
-    tau: float
-    eta: float
-    seed: int
-    num_agents: int
-    num_actions: int
-    phi_max: float
-    game_kind: str
-    game_seed: int
-    num_steps: int
-    phi_tau_initial: float
-    phi_tau_final: float
-    sum_ne_gap: float
-    sum_qre_gap: float
-    min_ne_gap: float
-    min_qre_gap: float
-    sum_jeffrey: float
-    initial_br_log_distance: float
-    min_monotonicity_slack: float
-    max_sandwich_slack: float
-    stopped_early: bool
-
-
 def read_run_meta(path) -> RunSummary:
     with open(path) as f:
-        raw = json.load(f)
-    nan = float("nan")
-    kwargs = {name: (nan if raw.get(name) is None else raw[name]) for name in _META_FIELDS}
-    return RunSummary(**kwargs)
+        return summary_from_meta(json.load(f))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +129,8 @@ def read_run_meta(path) -> RunSummary:
 
 @dataclass
 class CheckResult:
+    """One check on one run. An empty detail marks a check that prints no line."""
+
     name: str
     applicable: bool
     passed: bool
@@ -161,63 +141,70 @@ class CheckResult:
         return self.passed or not self.applicable
 
 
-def _eta_compliant(summary) -> bool:
-    bound = default_learning_rate(summary.num_agents, summary.phi_max, summary.tau)
-    return summary.eta <= bound * (1.0 + 1e-12)
+def _improvement_guaranteed(summary: RunSummary) -> bool:
+    return improvement_guaranteed(summary.method, summary.eta, summary.tau,
+                                  summary.num_agents, summary.phi_max)
 
 
-def check_monotone(summary, tol: float = 1e-9) -> CheckResult:
-    if summary.method != "npg" or not _eta_compliant(summary):
+def _verdict(name: str, passed: bool, statement: str) -> CheckResult:
+    return CheckResult(name, True, bool(passed), f"{statement}: {'pass' if passed else 'FAIL'}")
+
+
+def check_initial_distance(summary: RunSummary) -> CheckResult:
+    sides = initial_distance_bound_sides(summary)
+    if sides is None or summary.num_steps == 0:
+        return CheckResult("initial_distance", False, False, "")
+    d0, bound = sides
+    return _verdict("initial_distance", d0 <= bound,
+                    f"initial best-response log-distance {d0:.6g} <= 2/tau = {bound:.6g}")
+
+
+def check_jeffrey_sum(summary: RunSummary) -> CheckResult:
+    sides = jeffrey_sum_sides(summary)
+    if sides is None or not _improvement_guaranteed(summary):
+        return CheckResult("jeffrey_sum", False, False, "")
+    total, bound = sides
+    return _verdict("jeffrey_sum", total <= bound * (1 + 1e-12) + 1e-15,
+                    f"total step movement sum_t J = {total:.6e} <= 2*eta*dPhi = {bound:.6e}")
+
+
+def check_monotone(summary: RunSummary) -> CheckResult:
+    if not _improvement_guaranteed(summary):
         return CheckResult("monotone", False, False,
                            "monotone: not applicable (needs npg with compliant eta)")
-    slack = summary.min_monotonicity_slack
     if summary.num_steps == 0:
         return CheckResult("monotone", True, True, "monotone: no steps taken, trivially pass")
-    if math.isnan(slack):
-        return CheckResult("monotone", False, False,
-                           "monotone: not tracked during this run (monotonicity_check was off)")
-    passed = bool(slack >= -tol)
-    return CheckResult("monotone", True, passed,
-                       f"monotone: min per-step slack {slack:.3e} (tol {tol:g}): "
-                       f"{'pass' if passed else 'FAIL'}")
+    slack = summary.min_monotonicity_slack
+    return _verdict("monotone", slack >= -MONOTONICITY_TOL,
+                    f"monotone: min per-step slack {slack:.3e} (tol {MONOTONICITY_TOL:g})")
 
 
-def check_theorem1(summary) -> CheckResult:
+def check_theorem1(summary: RunSummary) -> CheckResult:
     sides = theorem_average_gap_sides(summary)
-    if sides is None or not _eta_compliant(summary):
+    if sides is None or not _improvement_guaranteed(summary):
         return CheckResult("theorem1", False, False,
                            "theorem1: skipped (needs a completed npg run with compliant eta)")
     lhs, rhs = sides
-    passed = bool(lhs <= rhs * (1.0 + 1e-12) + 1e-15)
-    return CheckResult("theorem1", True, passed,
-                       f"theorem1: avg qre_gap {lhs:.6e} <= bound {rhs:.6e}: "
-                       f"{'pass' if passed else 'FAIL'}")
+    return _verdict("theorem1", lhs <= rhs * (1.0 + 1e-12) + 1e-15,
+                    f"theorem1: avg qre_gap {lhs:.6e} <= bound {rhs:.6e}")
 
 
-def check_sandwich(summary, tol: float = SANDWICH_TOL) -> CheckResult:
+def check_sandwich(summary: RunSummary) -> CheckResult:
     if summary.tau <= 0:
         return CheckResult("sandwich", False, False,
                            "sandwich: not applicable (needs tau > 0)")
     slack = summary.max_sandwich_slack
-    passed = bool(slack <= tol)
-    return CheckResult("sandwich", True, passed,
-                       f"sandwich: max (ne_gap - qre_gap - tau*log|A|) = {slack:.3e} "
-                       f"(tol {tol:g}): {'pass' if passed else 'FAIL'}")
+    return _verdict("sandwich", slack <= SANDWICH_TOL,
+                    f"sandwich: max (ne_gap - qre_gap - tau*log|A|) = {slack:.3e} "
+                    f"(tol {SANDWICH_TOL:g})")
 
 
-def evaluate_checks(summary, which: set[str]) -> list[CheckResult]:
-    out = []
-    if "monotone" in which:
-        out.append(check_monotone(summary))
-    if "theorem1" in which:
-        out.append(check_theorem1(summary))
-    if "sandwich" in which:
-        out.append(check_sandwich(summary))
-    return out
+# Every theorem-level check, in report order; `run` and `audit` both report all of them.
+CHECKS = (check_initial_distance, check_jeffrey_sum, check_monotone, check_theorem1, check_sandwich)
 
 
-def audit_lines(summary) -> tuple[list[str], bool]:
-    """Report for one completed run; returns (lines, all enabled checks passed)."""
+def audit_lines(summary: RunSummary) -> tuple[list[str], bool]:
+    """Report for one completed run; returns (lines, all checks passed)."""
     head = (f"{run_basename(summary.method, summary.tau, summary.seed)}: "
             f"eta={summary.eta:g} T={summary.num_steps}")
     lines = [head]
@@ -225,8 +212,6 @@ def audit_lines(summary) -> tuple[list[str], bool]:
         lines.append(f"  final avg ne_gap {summary.sum_ne_gap / max(summary.num_steps, 1):.6e}; "
                      "regularized checks skipped (unregularized baseline)")
         return lines, True
-    results = evaluate_checks(summary, set(CHECK_NAMES))
-    ok = True
     if summary.tau > 0 and summary.num_steps:
         avg = summary.sum_qre_gap / summary.num_steps
         lines.append(f"  measured avg qre_gap (iterates 1..T): {avg:.6e}; "
@@ -239,21 +224,9 @@ def audit_lines(summary) -> tuple[list[str], bool]:
                 f"  iteration-count scale to reach eps = this average: "
                 f"{predicted_iterations(summary, avg):.4g}"
             )
-        d0, bound = initial_distance_bound_sides(summary)
-        lines.append(
-            f"  initial best-response log-distance {d0:.6g} <= 2/tau = {bound:.6g}: "
-            f"{'pass' if d0 <= bound else 'FAIL'}"
-        )
-        ok &= d0 <= bound
-    js = jeffrey_sum_sides(summary)
-    if js is not None and _eta_compliant(summary) and summary.method == "npg":
-        lines.append(f"  total step movement sum_t J = {js[0]:.6e} <= 2*eta*dPhi = {js[1]:.6e}: "
-                     f"{'pass' if js[0] <= js[1] * (1 + 1e-12) + 1e-15 else 'FAIL'}")
-        ok &= js[0] <= js[1] * (1 + 1e-12) + 1e-15
-    for res in results:
-        lines.append("  " + res.detail)
-        ok &= res.ok
-    return lines, bool(ok)
+    results = [check(summary) for check in CHECKS]
+    lines.extend("  " + res.detail for res in results if res.detail)
+    return lines, all(res.ok for res in results)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +321,7 @@ def run_experiment(
 
 
 def seeded_game_specs(kind: str, agents: int, actions: int, base_seed: int, runs: int) -> list[GameSpec]:
+    require_capacity(agents, actions)
     return [
         GameSpec(source=kind, num_agents=agents, num_actions=actions,
                  seed=run_seed(base_seed, k))

@@ -117,12 +117,15 @@ def row_entropies(log_probs: np.ndarray) -> np.ndarray:
 
 
 def kl(p_row: np.ndarray, q_row: np.ndarray) -> float:
-    """KL(p || q) for probability rows; q must be strictly positive where p > 0."""
+    """KL(p || q) for probability rows; q must be strictly positive where p > 0.
+
+    Sums p log(p/q) - p + q, nonnegative per entry, so nearby rows do not cancel to 0.
+    """
     p = np.asarray(p_row, dtype=np.float64)
     q = np.asarray(q_row, dtype=np.float64)
     mask = p > 0.0
-    val = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-    return max(val, 0.0)
+    d = (p[mask] - q[mask]) / q[mask]  # p/q - 1, without the rounding of p/q
+    return max(float(np.sum(q[mask] * ((1.0 + d) * np.log1p(d) - d)) + np.sum(q[~mask])), 0.0)
 
 
 def kl_logs(lp: np.ndarray, lq: np.ndarray) -> float:

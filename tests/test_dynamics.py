@@ -126,6 +126,17 @@ class TestPgDirectStep:
         assert np.allclose(stepped.probs, manual, atol=1e-12)
 
 
+@pytest.mark.parametrize("method,tau", [("npg", 0.3), ("pg_direct", 0.0)])
+def test_step_functions_match_first_step_of_run(method, tau):
+    game = make_general_potential(3, 4, seed=11)
+    log = run(game, RunConfig(method=method, tau=tau, max_iters=1))
+    if method == "npg":
+        stepped = npg_step(game, uniform_policy(3, 4), eta=log.eta, tau=tau)
+    else:
+        stepped = pg_direct_step(game, uniform_policy(3, 4), eta=log.eta)
+    assert np.array_equal(stepped.log_probs, log.final_policy.log_probs)
+
+
 class TestRunConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ParameterError):

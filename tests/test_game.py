@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -246,6 +247,20 @@ class TestSerialization:
         path = tmp_path / "bad.pg"
         path.write_bytes(b"NOTAGAME" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            load_game(path)
+
+    @pytest.mark.parametrize("num_agents,num_actions", [(64, 20), (65, 1)])
+    def test_oversized_header_rejected_before_allocating(self, tmp_path, num_agents, num_actions):
+        path = tmp_path / "huge.pg"
+        header = struct.pack("<IIIdQI", 1, num_agents, num_actions, 1.0, 0, 0)
+        path.write_bytes(b"INPGGAME" + header + b"\x00" * 64)
+        with pytest.raises(GameSizeError):
+            load_game(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.pg"
+        path.write_bytes(b"INPGGAME" + b"\x00" * 10)
+        with pytest.raises(ValueError, match="truncated"):
             load_game(path)
 
     def test_summary_mentions_empirical_max(self):

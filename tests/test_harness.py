@@ -1,12 +1,13 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from inpg.cli import main as cli_main
-from inpg.dynamics import RunConfig, run
+from inpg.dynamics import RunConfig, RunSummary, run
 from inpg.game import make_identical_interest
 from inpg.harness import (
     CSV_HEADER,
@@ -58,6 +59,11 @@ class TestRunFiles:
         assert summary.tau == 0.2
         assert summary.num_steps == 40
         assert summary.sum_qre_gap == small_log.sum_qre_gap
+
+    def test_meta_keys_are_run_summary_fields(self, small_log, tmp_path):
+        path = tmp_path / "r.meta.json"
+        write_run_meta(small_log, path)
+        assert sorted(json.loads(path.read_text())) == sorted(f.name for f in fields(RunSummary))
 
     def test_meta_nan_becomes_null(self, tmp_path):
         game = make_identical_interest(2, 3, seed=5)
@@ -221,6 +227,65 @@ class TestAudit:
         assert not ok
         assert any("FAIL" in line for line in lines)
         assert cli_main(["audit", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("initial_br_log_distance", 2.0 / 0.2 + 1.0),  # above 2/tau
+    ("sum_jeffrey", 1e3),  # above 2*eta*(phi_tau[T] - phi_tau[0])
+])
+def test_failed_bound_check_flips_exit_contract(tmp_path, field, value):
+    out = str(tmp_path / "exp")
+    specs = seeded_game_specs("identical", 2, 4, base_seed=5, runs=1)
+    run_experiment(out, specs, [RunConfig(method="npg", tau=0.2, max_iters=20)])
+    meta_path = os.path.join(out, "run_npg_tau0.2_seed5.meta.json")
+    meta = json.loads(open(meta_path).read())
+    meta[field] = value
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+    lines, ok = audit_directory(out)
+    assert not ok
+    assert sum("FAIL" in line for line in lines) == 2  # the corrupted check and the summary
+    assert cli_main(["audit", "--out", out]) == 1
+
+
+def test_run_and_audit_report_the_same_checks(tmp_path, capsys):
+    out = str(tmp_path / "res")
+    assert cli_main(["run", "--agents", "2", "--actions", "3", "--seed", "1",
+                     "--tau", "0.2", "--iters", "20", "--out", out]) == 0
+    prefix = "run_npg_tau0.2_seed1: "
+    run_checks = [line.removeprefix(prefix) for line in capsys.readouterr().out.splitlines()]
+    assert cli_main(["audit", "--out", out]) == 0
+    audit_out = capsys.readouterr().out.splitlines()
+    assert len(run_checks) == 5
+    assert [line.strip() for line in audit_out[-6:-1]] == run_checks  # checks end the run's block
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--agents", "2", "--actions", "3"], id="npg-default-tau0"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "5", "--eta", "1"], id="eta-tau-above-1"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--eta", "abc"], id="eta-abc"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--eta", "nan"], id="eta-nan"),
+    pytest.param(["--agents", "30", "--actions", "20", "--tau", "0.1"], id="above-dense-cap"),
+    pytest.param(["--game", "{tmp}/missing.pg", "--tau", "0.1"], id="missing-game"),
+    pytest.param(["--game", "{tmp}/bad.pg", "--tau", "0.1"], id="bad-magic"),
+    pytest.param(["--game", "{tmp}/short.pg", "--tau", "0.1"], id="truncated-header"),
+])
+def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
+    (tmp_path / "bad.pg").write_bytes(b"NOTAGAME" + b"\x00" * 64)
+    (tmp_path / "short.pg").write_bytes(b"INPGGAME\x01")
+    out = tmp_path / "res"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli_main(["run", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run: ")
+    assert not out.exists()
+
+
+def test_generate_misuse_exits_2(tmp_path, capsys):
+    out = tmp_path / "games"
+    assert cli_main(["generate", "--agents", "30", "--actions", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("generate: ")
+    assert not out.exists()
 
 
 class TestCli:

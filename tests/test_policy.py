@@ -115,6 +115,12 @@ class TestDivergences:
         got = kl(np.array([0.5, 0.5]), np.array([0.25, 0.75]))
         assert got == pytest.approx(0.14384103622589042, abs=1e-12)
 
+    def test_kl_of_rows_a_rounding_error_apart(self):
+        # Pinsker is tight near p = q: KL = 2 TV^2 to leading order, TV = 2.5e-11 here.
+        p = np.array([0.5, 0.5])
+        q = np.exp(normalize_logs(np.array([1e-10, 0.0])))
+        assert kl(p, q) == pytest.approx(2.0 * total_variation(p, q) ** 2, rel=1e-4, abs=0.0)
+
     @settings(max_examples=80, deadline=None)
     @given(logits=arrays(np.float64, st.tuples(st.just(2), st.integers(2, 6)),
                          elements=st.floats(-10, 10)))
