@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of every output file of a fixed command set, to compare checkouts.
+
+    python3 scripts/output_digests.py --root <checkout> --out <empty dir>
+
+Runs each command below against `<root>/src` in a fresh subprocess, each into
+its own subdirectory of --out, then runs `inpg audit` on every subdirectory.
+Prints one `sha256  relpath` line per output file and one per audit stdout
+(`relpath` is `<dir>/audit.stdout`). Two checkouts produce byte-identical
+outputs exactly when their printed lines are equal. Exits 1 if any command or
+audit exits non-zero.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+SMALL = ["--agents", "2", "--actions", "3"]
+
+# (subdirectory, command after the interpreter; "inpg" runs the package's CLI)
+COMMANDS = (
+    ("fig", ["scripts/reproduce_figures.py", "--quick", "--runs", "2", "--jobs", "2"]),
+    ("gen", ["inpg", "run", "--kind", "general", "--agents", "3", "--actions", "4",
+             "--runs", "2", "--tau", "0.1", "--iters", "300"]),
+    ("mwu", ["inpg", "run", "--method", "mwu", "--agents", "2", "--actions", "5",
+             "--runs", "2", "--iters", "300"]),
+    ("stop", ["inpg", "run", "--agents", "2", "--actions", "4", "--seed", "3", "--tau", "0.5",
+              "--iters", "5000", "--stop-qre-gap", "1e-6"]),
+    ("zero_pg", ["inpg", "run", "--method", "pg_direct", "--runs", "2", "--iters", "0", *SMALL]),
+    ("zero_mwu", ["inpg", "run", "--method", "mwu", "--iters", "0", *SMALL]),
+    ("zero_npg", ["inpg", "run", "--tau", "0.2", "--iters", "0", *SMALL]),
+)
+
+
+def _run(root: str, args: list[str], out_dir: str) -> subprocess.CompletedProcess:
+    if args[0] == "inpg":
+        argv = [sys.executable, "-m", "inpg", *args[1:]]
+    else:
+        argv = [sys.executable, os.path.join(root, args[0]), *args[1:]]
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    return subprocess.run([*argv, "--out", out_dir], env=env, capture_output=True, text=True)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", required=True, help="checkout whose src/ is run")
+    parser.add_argument("--out", required=True, help="directory for the outputs (made if missing)")
+    args = parser.parse_args()
+    root, out = os.path.abspath(args.root), os.path.abspath(args.out)
+
+    failed = []
+    digests = []
+    for name, command in COMMANDS:
+        out_dir = os.path.join(out, name)
+        for argv in (command, ["inpg", "audit"]):
+            proc = _run(root, argv, out_dir)
+            if proc.returncode != 0:
+                failed.append(f"{name}: {' '.join(argv)} exited {proc.returncode}: "
+                              f"{proc.stderr.strip()}")
+        digests.append((_sha256(proc.stdout.encode()), f"{name}/audit.stdout"))
+        for fname in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
+            with open(os.path.join(out_dir, fname), "rb") as f:
+                digests.append((_sha256(f.read()), f"{name}/{fname}"))
+
+    for digest, relpath in digests:
+        print(f"{digest}  {relpath}")
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

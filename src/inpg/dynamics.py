@@ -22,6 +22,7 @@ and raises MonotonicityError with full context otherwise.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,12 +108,11 @@ def tau_for_epsilon_ne(epsilon: float, num_actions: int) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One learning run: method, regularization, step size, and bookkeeping.
+    """One learning run: method, regularization, step size, budget and stopping rule.
 
     eta may be the string "auto": npg/mwu resolve to default_learning_rate and
-    pg_direct to pg_direct_learning_rate. log_every = 0 selects the default
-    cadence (every iteration through 1000, every 10th after); a positive value
-    logs every log_every-th iteration. Iterates 0 and T are always logged.
+    pg_direct to pg_direct_learning_rate. The logging cadence is fixed (see
+    `run`); the run's scalars are reductions over every iterate, logged or not.
     """
 
     method: str
@@ -120,7 +120,6 @@ class RunConfig:
     eta: float | str = "auto"
     max_iters: int = 1000
     seed: int = 0
-    log_every: int = 0
     stop_qre_gap: float | None = None
 
     def __post_init__(self):
@@ -132,8 +131,6 @@ class RunConfig:
             raise ParameterError(f"{self.method} is unregularized; tau must be 0")
         if self.max_iters < 0:
             raise ParameterError("max_iters must be nonnegative")
-        if self.log_every < 0:
-            raise ParameterError("log_every must be nonnegative")
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ParameterError(f"eta must be a positive float or 'auto', got {self.eta!r}")
@@ -152,9 +149,11 @@ class RunConfig:
 class RunSummary:
     """Run-level scalars of one run: its meta file holds exactly these fields.
 
-    qre-gap scalars are NaN for unregularized methods, sum_jeffrey for pg_direct
-    (its projection can zero out actions), and min_monotonicity_slack unless
-    improvement_guaranteed holds. Sums and slacks cover every step, logged or not.
+    Each scalar is a reduction over every iterate (or every step), logged or
+    not: sums run over iterates 1..T in iterate order, minima and maxima over
+    iterates 0..T. qre-gap scalars are NaN for unregularized methods,
+    sum_jeffrey for pg_direct (its projection can zero out actions), and
+    min_monotonicity_slack unless improvement_guaranteed holds.
     """
 
     method: str
@@ -192,10 +191,10 @@ class RunSummary:
 class IterateLog(RunSummary):
     """Logged trajectory of one run plus its RunSummary scalars.
 
-    Column arrays are aligned with `iters`. qre_gap columns are NaN for
-    unregularized methods, jeffrey_step is NaN for pg_direct and 0.0 on the
-    final row. avg_* at row t is the mean over iterates 1..t; at t = 0 it
-    repeats the initial gap.
+    Column arrays are aligned with `iters`, the logged rows of the per-iterate
+    record that the scalars reduce. qre_gap columns are NaN for unregularized
+    methods, jeffrey_step is NaN for pg_direct and 0.0 on the final row. avg_*
+    at row t is the mean over iterates 1..t; at t = 0 it repeats the initial gap.
     """
 
     iters: np.ndarray
@@ -243,95 +242,76 @@ def pg_direct_step(game: PotentialGame, policy: JointPolicy, eta: float) -> Join
     return JointPolicy(step_update("pg_direct", policy.log_probs, policy.probs, r, eta, 0.0)[0])
 
 
+def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
+    """[start, start + terms[0], ...], added left to right as `+=` does (np.sum adds pairwise)."""
+    sums = np.empty(len(terms) + 1)
+    sums[0], sums[1:] = start, terms
+    return np.cumsum(sums, out=sums)
+
+
 def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     """Run the configured dynamic from uniform policies for max_iters steps.
 
     All metrics at an iterate are computed from a single marginalized-utility
     sweep. When improvement_guaranteed holds, every step must satisfy
     phi_tau[t+1] - phi_tau[t] >= J(step)/(2 eta) - MONOTONICITY_TOL.
+
+    The loop records (phi_tau, ne_gap, qre_gap) of every iterate and the
+    Jeffrey divergence of every step; the summary scalars, running averages
+    and logged rows are all derived from that record after the loop. Logged
+    rows: every iterate through 1000, every 10th after, and the last.
     """
     eta = config.resolve_eta(game)
     tau = config.tau
     method = config.method
     mono_enabled = improvement_guaranteed(method, eta, tau, game.num_agents, game.phi_max)
-    log_a = math.log(game.num_actions)
+    track_jeffrey = method != "pg_direct"
+    nan = float("nan")
 
-    def should_log(t: int) -> bool:
-        if config.log_every > 0:
-            return t % config.log_every == 0
-        return t <= 1000 or t % 10 == 0
+    # Flat float64 buffers: a run of 1e5+ steps keeps 8 bytes per value, not a Python object.
+    phi_tau, ne, qre = array("d"), array("d"), array("d")  # one value per iterate
+    jeffrey = array("d")  # one value per step; step t leaves iterate t
+
+    def record(r: np.ndarray, phi_mean: float, lp: np.ndarray, probs: np.ndarray) -> None:
+        phi_tau.append(phi_mean + tau * float(np.sum(row_entropies(lp))) if tau > 0 else phi_mean)
+        ne.append(float(np.max(ne_gap_terms(r, probs))))
+        qre.append(float(np.max(qre_gap_terms(r, lp, tau))) if tau > 0 else nan)
 
     lp = np.full((game.num_agents, game.num_actions), -math.log(game.num_actions))
     probs = np.exp(lp)
     r, phi_mean = marginal_sweep(game, probs)
+    record(r, phi_mean, lp, probs)
+    d0 = best_response_log_distance(lp, r, tau) if tau > 0 else nan
 
-    def phi_tau_of(phi_mean: float, lp: np.ndarray) -> float:
-        return phi_mean + tau * float(np.sum(row_entropies(lp))) if tau > 0 else phi_mean
-
-    def gaps_of(r: np.ndarray, lp: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-        ne = float(np.max(ne_gap_terms(r, probs)))
-        qre = float(np.max(qre_gap_terms(r, lp, tau))) if tau > 0 else float("nan")
-        return ne, qre
-
-    phi_tau = phi_tau_of(phi_mean, lp)
-    ne, qre = gaps_of(r, lp, probs)
-    d0 = best_response_log_distance(lp, r, tau) if tau > 0 else float("nan")
-    phi_tau_initial = phi_tau
-
-    track_jeffrey = method != "pg_direct"
-    sum_ne = 0.0
-    sum_qre = 0.0 if tau > 0 else float("nan")
-    min_ne = ne
-    min_qre = qre
-    sum_j = 0.0 if track_jeffrey else float("nan")
-    min_slack = math.inf if mono_enabled else float("nan")
-    max_sandwich = (ne - qre - tau * log_a) if tau > 0 else float("nan")
-
-    cols: list[tuple] = []  # (t, phi_tau, ne, qre, jeffrey, avg_ne, avg_qre)
-
-    def averages(t: int) -> tuple[float, float]:
-        if t == 0:
-            return ne, qre
-        return sum_ne / t, (sum_qre / t if tau > 0 else float("nan"))
-
+    min_slack = math.inf if mono_enabled else nan
     stopped_early = False
-    steps_done = 0
     for t in range(config.max_iters):
         new_lp, new_probs = step_update(method, lp, probs, r, eta, tau)
-        j = jeffrey_logs(new_lp, lp) if track_jeffrey else float("nan")
-
-        if should_log(t):
-            avg_ne, avg_qre = averages(t)
-            cols.append((t, phi_tau, ne, qre, j, avg_ne, avg_qre))
-
+        j = jeffrey_logs(new_lp, lp) if track_jeffrey else nan
+        jeffrey.append(j)
         lp, probs = new_lp, new_probs
         r, phi_mean = marginal_sweep(game, probs)
-        phi_tau_next = phi_tau_of(phi_mean, lp)
+        record(r, phi_mean, lp, probs)
         if mono_enabled:
-            slack = phi_tau_next - phi_tau - j / (2.0 * eta)
+            slack = phi_tau[-1] - phi_tau[-2] - j / (2.0 * eta)
             min_slack = min(min_slack, slack)
             if slack < -MONOTONICITY_TOL:
-                raise MonotonicityError(t, phi_tau, phi_tau_next, j)
-        phi_tau = phi_tau_next
-        ne, qre = gaps_of(r, lp, probs)
-        sum_ne += ne
-        min_ne = min(min_ne, ne)
-        if tau > 0:
-            sum_qre += qre
-            min_qre = min(min_qre, qre)
-            max_sandwich = max(max_sandwich, ne - qre - tau * log_a)
-        if track_jeffrey:
-            sum_j += j
-        steps_done = t + 1
-        if config.stop_qre_gap is not None and tau > 0 and qre <= config.stop_qre_gap:
+                raise MonotonicityError(t, phi_tau[-2], phi_tau[-1], j)
+        if config.stop_qre_gap is not None and qre[-1] <= config.stop_qre_gap:  # NaN if tau = 0
             stopped_early = True
             break
 
-    avg_ne, avg_qre = averages(steps_done)
-    cols.append((steps_done, phi_tau, ne, qre, 0.0 if track_jeffrey else float("nan"),
-                 avg_ne, avg_qre))
-
-    arr = np.array(cols, dtype=np.float64)
+    phi_tau, ne, qre, jeffrey = (np.frombuffer(c) for c in (phi_tau, ne, qre, jeffrey))
+    steps = len(jeffrey)
+    iters = np.arange(steps + 1)
+    iters = iters[(iters <= 1000) | (iters % 10 == 0) | (iters == steps)]
+    # Running sums over iterates 1..t. A quantity this method leaves undefined is
+    # NaN and sums from NaN, so NaN carries into its sum, averages, min and max.
+    ne_sums = _running_sums(0.0, ne[1:])
+    qre_sums = _running_sums(0.0 if tau > 0 else nan, qre[1:])
+    no_step = 0.0 if track_jeffrey else nan  # the Jeffrey sum's start; no step leaves iterate T
+    jeffrey_rows = np.full(len(iters), no_step)
+    jeffrey_rows[:-1] = jeffrey[iters[:-1]]
     return IterateLog(
         method=method,
         tau=tau,
@@ -342,24 +322,24 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
         phi_max=game.phi_max,
         game_kind=game.kind,
         game_seed=game.seed,
-        num_steps=steps_done,
-        iters=arr[:, 0].astype(np.int64),
-        phi_tau=arr[:, 1],
-        ne_gap=arr[:, 2],
-        qre_gap=arr[:, 3],
-        jeffrey_step=arr[:, 4],
-        avg_ne_gap=arr[:, 5],
-        avg_qre_gap=arr[:, 6],
-        phi_tau_initial=phi_tau_initial,
-        phi_tau_final=phi_tau,
-        sum_ne_gap=sum_ne,
-        sum_qre_gap=sum_qre,
-        min_ne_gap=min_ne,
-        min_qre_gap=min_qre,
-        sum_jeffrey=sum_j,
+        num_steps=steps,
+        iters=iters,
+        phi_tau=phi_tau[iters],
+        ne_gap=ne[iters],
+        qre_gap=qre[iters],
+        jeffrey_step=jeffrey_rows,
+        avg_ne_gap=np.where(iters > 0, ne_sums[iters] / np.maximum(iters, 1), ne[0]),
+        avg_qre_gap=np.where(iters > 0, qre_sums[iters] / np.maximum(iters, 1), qre[0]),
+        phi_tau_initial=float(phi_tau[0]),
+        phi_tau_final=float(phi_tau[-1]),
+        sum_ne_gap=float(ne_sums[-1]),
+        sum_qre_gap=float(qre_sums[-1]),
+        min_ne_gap=float(np.min(ne)),
+        min_qre_gap=float(np.min(qre)),
+        sum_jeffrey=float(_running_sums(no_step, jeffrey)[-1]),
         initial_br_log_distance=d0,
         min_monotonicity_slack=min_slack,
-        max_sandwich_slack=max_sandwich,
+        max_sandwich_slack=float(np.max(ne - qre - tau * math.log(game.num_actions))),
         stopped_early=stopped_early,
         final_policy=JointPolicy(lp.copy()),
     )

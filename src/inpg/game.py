@@ -12,6 +12,7 @@ bitwise-identical tensors.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -231,6 +232,12 @@ def save_game(game: PotentialGame, path) -> None:
 
 
 def load_game(path) -> PotentialGame:
+    """Read a game file, rejecting it (ValueError naming the path) unless it is well formed.
+
+    Besides the layout, a file must declare a finite phi_max > 0, hold
+    potential entries in [0, phi_max] and utility entries in [0, 1], and, if
+    tagged "identical", store utility copies equal to the potential.
+    """
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != _MAGIC:
@@ -241,6 +248,8 @@ def load_game(path) -> PotentialGame:
         version, num_agents, num_actions, phi_max, seed, tag_len = struct.unpack("<IIIdQI", header)
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
+        if not 0.0 < phi_max < math.inf:
+            raise ValueError(f"{path}: phi_max must be finite and > 0, got {phi_max!r}")
         entries = require_capacity(num_agents, num_actions)
         shape = (num_actions,) * num_agents
         kind = f.read(tag_len).decode("utf-8")
@@ -249,7 +258,17 @@ def load_game(path) -> PotentialGame:
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    phi = flat[:entries].reshape(shape)
+    # min/max propagate NaN and NaN fails every comparison, so NaN entries are rejected too.
+    potential, utils = flat[:entries], flat[entries:]
+    if not (potential.min() >= 0.0 and potential.max() <= phi_max):
+        raise ValueError(f"{path}: potential entries must lie in [0, phi_max = {phi_max!r}]")
+    if not (utils.min() >= 0.0 and utils.max() <= 1.0):
+        raise ValueError(f"{path}: utility entries must lie in [0, 1]")
+    if kind == "identical" and not all(
+        np.array_equal(u, potential) for u in utils.reshape(num_agents, entries)
+    ):
+        raise ValueError(f"{path}: an identical-interest utility tensor differs from the potential")
+    phi = potential.reshape(shape)
     if kind == "identical":
         utilities = (phi,) * num_agents
     else:

@@ -49,11 +49,8 @@ from .policy import policy_to_csv
 from .rng import run_seed
 
 CSV_HEADER = "iter,phi_tau,ne_gap,qre_gap,jeffrey_step,avg_ne_gap,avg_qre_gap"
+CSV_COLUMNS = CSV_HEADER.split(",")[1:]  # IterateLog column names, in file order
 SANDWICH_TOL = 1e-10
-
-
-def _f17(x: float) -> str:
-    return format(x, ".17g")
 
 
 def run_basename(method: str, tau: float, seed: int) -> str:
@@ -64,16 +61,18 @@ def agg_basename(method: str, tau: float) -> str:
     return f"agg_{method}_tau{tau:g}"
 
 
-def write_run_csv(log: IterateLog, path) -> None:
+def write_csv_rows(path, iters: np.ndarray, columns: list[np.ndarray]) -> None:
+    """CSV_HEADER, then one row per iteration: the integer iteration and each column's value
+    with 17 significant digits (lossless for doubles)."""
     lines = [CSV_HEADER]
-    for k in range(len(log.iters)):
-        lines.append(
-            f"{int(log.iters[k])},{_f17(log.phi_tau[k])},{_f17(log.ne_gap[k])},"
-            f"{_f17(log.qre_gap[k])},{_f17(log.jeffrey_step[k])},"
-            f"{_f17(log.avg_ne_gap[k])},{_f17(log.avg_qre_gap[k])}"
-        )
+    for it, *values in zip(iters.tolist(), *(col.tolist() for col in columns)):
+        lines.append(f"{int(it)}," + ",".join(format(v, ".17g") for v in values))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def write_run_csv(log: IterateLog, path) -> None:
+    write_csv_rows(path, log.iters, [getattr(log, name) for name in CSV_COLUMNS])
 
 
 def read_csv_columns(path) -> dict[str, np.ndarray]:
@@ -284,15 +283,8 @@ def aggregate_csvs(csv_paths: list[str], out_path: str) -> None:
     for cols in columns[1:]:
         if len(cols["iter"]) != len(iters) or np.any(cols["iter"] != iters):
             raise ValueError("aggregate requires identical iteration grids across seeds")
-    names = CSV_HEADER.split(",")[1:]
-    means = {name: np.mean([cols[name] for cols in columns], axis=0) for name in names}
-    lines = [CSV_HEADER]
-    for k in range(len(iters)):
-        lines.append(
-            f"{int(iters[k])}," + ",".join(_f17(means[name][k]) for name in names)
-        )
-    with open(out_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    means = [np.mean([cols[name] for cols in columns], axis=0) for name in CSV_COLUMNS]
+    write_csv_rows(out_path, iters, means)
 
 
 def run_experiment(

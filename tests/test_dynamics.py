@@ -181,11 +181,8 @@ class TestRun:
         it = log.iters
         assert np.array_equal(it[:1001], np.arange(1001))
         assert np.array_equal(it[1001:], [1010, 1020, 1030, 1040, 1050])
-
-    def test_explicit_cadence_always_includes_endpoints(self):
-        game = make_identical_interest(1, 3, seed=5)
-        log = run(game, RunConfig(method="npg", tau=0.5, max_iters=25, log_every=7))
-        assert np.array_equal(log.iters, [0, 7, 14, 21, 25])
+        log = run(game, RunConfig(method="npg", tau=0.5, max_iters=1055))
+        assert np.array_equal(log.iters[1001:], [1010, 1020, 1030, 1040, 1050, 1055])
 
     def test_monotone_improvement_tracked(self):
         game = make_identical_interest(3, 5, seed=6)
@@ -200,7 +197,7 @@ class TestRun:
 
     def test_running_averages_match_columns(self):
         game = make_general_potential(2, 3, seed=8)
-        log = run(game, RunConfig(method="npg", tau=0.3, max_iters=50, log_every=1))
+        log = run(game, RunConfig(method="npg", tau=0.3, max_iters=50))
         for k in range(1, len(log.iters)):
             assert log.avg_qre_gap[k] == pytest.approx(np.mean(log.qre_gap[1 : k + 1]), rel=1e-12)
             assert log.avg_ne_gap[k] == pytest.approx(np.mean(log.ne_gap[1 : k + 1]), rel=1e-12)
@@ -249,6 +246,50 @@ class TestRun:
         assert qre_gap(game, log.final_policy, 0.2) == pytest.approx(
             log.qre_gap[-1], abs=1e-14
         )
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 50])
+@pytest.mark.parametrize("method,tau", [("npg", 0.3), ("mwu", 0.0), ("pg_direct", 0.0)])
+def test_summary_scalars_reduce_the_columns(method, tau, max_iters):
+    game = make_general_potential(2, 3, seed=8)
+    log = run(game, RunConfig(method=method, tau=tau, max_iters=max_iters))
+    assert np.array_equal(log.iters, np.arange(max_iters + 1))  # every row logged up to 1000
+
+    def in_order(values):
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        return total
+
+    assert log.sum_ne_gap == in_order(log.ne_gap[1:])
+    assert log.min_ne_gap == min(log.ne_gap.tolist())
+    if tau > 0:
+        assert log.sum_qre_gap == in_order(log.qre_gap[1:])
+        assert log.min_qre_gap == min(log.qre_gap.tolist())
+        sandwich = log.ne_gap - log.qre_gap - tau * math.log(game.num_actions)
+        assert log.max_sandwich_slack == max(sandwich.tolist())
+    else:
+        assert math.isnan(log.sum_qre_gap) and math.isnan(log.min_qre_gap)
+        assert math.isnan(log.max_sandwich_slack)
+    if method == "pg_direct":
+        assert math.isnan(log.sum_jeffrey)
+    else:
+        assert log.sum_jeffrey == in_order(log.jeffrey_step[:-1])
+    assert log.phi_tau_initial == log.phi_tau[0] and log.phi_tau_final == log.phi_tau[-1]
+
+
+def test_runtime_monotone_gate_raises():
+    # Agents share 1 - potential, so this is not a potential game and ascent on
+    # the utilities lowers the declared potential.
+    phi = np.array([[1.0, 0.0], [0.0, 0.0]])
+    game = PotentialGame(num_agents=2, num_actions=2, potential=phi,
+                         utilities=(1.0 - phi, 1.0 - phi), phi_max=1.0)
+    with pytest.raises(MonotonicityError) as info:
+        run(game, RunConfig(method="npg", tau=0.1, max_iters=10))
+    assert info.value.t == 0
+    assert info.value.phi_tau_next < info.value.phi_tau_t
+    for method in ("mwu", "pg_direct"):
+        run(game, RunConfig(method=method, max_iters=10))
 
 
 class TestMonotonicityError:

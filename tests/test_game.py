@@ -1,4 +1,5 @@
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -248,6 +249,29 @@ class TestSerialization:
         path.write_bytes(b"NOTAGAME" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_game(path)
+
+    @pytest.mark.parametrize("phi_max,phi_entry,u_entry,kind,match", [
+        pytest.param(0.0, 0.0, 0.0, "custom", "phi_max must", id="phi_max-zero"),
+        pytest.param(math.inf, 0.5, 0.5, "custom", "phi_max must", id="phi_max-inf"),
+        pytest.param(math.nan, 0.5, 0.5, "custom", "phi_max must", id="phi_max-nan"),
+        pytest.param(0.4, 0.5, 0.5, "custom", "potential entries", id="potential-above-phi_max"),
+        pytest.param(1.0, -0.1, 0.5, "custom", "potential entries", id="potential-negative"),
+        pytest.param(1.0, math.nan, 0.5, "custom", "potential entries", id="potential-nan"),
+        pytest.param(1.0, 0.5, 1.5, "custom", "utility entries", id="utility-above-one"),
+        pytest.param(1.0, 0.5, math.nan, "custom", "utility entries", id="utility-nan"),
+        pytest.param(1.0, 0.5, 0.25, "identical", "differs from the potential",
+                     id="identical-copy-differs"),
+    ])
+    def test_bad_content_rejected(self, tmp_path, phi_max, phi_entry, u_entry, kind, match):
+        phi = np.full((3, 3), 0.5)
+        phi[0, 0] = phi_entry
+        u = phi.copy()
+        u[1, 2] = u_entry
+        path = tmp_path / "bad.pg"
+        save_game(PotentialGame(2, 3, phi, (phi, u), phi_max=phi_max, kind=kind), path)
+        with pytest.raises(ValueError, match=match) as info:
+            load_game(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("num_agents,num_actions", [(64, 20), (65, 1)])
     def test_oversized_header_rejected_before_allocating(self, tmp_path, num_agents, num_actions):

@@ -8,7 +8,7 @@ import pytest
 
 from inpg.cli import main as cli_main
 from inpg.dynamics import RunConfig, RunSummary, run
-from inpg.game import make_identical_interest
+from inpg.game import PotentialGame, make_identical_interest, save_game
 from inpg.harness import (
     CSV_HEADER,
     GameSpec,
@@ -269,10 +269,15 @@ def test_run_and_audit_report_the_same_checks(tmp_path, capsys):
     pytest.param(["--game", "{tmp}/missing.pg", "--tau", "0.1"], id="missing-game"),
     pytest.param(["--game", "{tmp}/bad.pg", "--tau", "0.1"], id="bad-magic"),
     pytest.param(["--game", "{tmp}/short.pg", "--tau", "0.1"], id="truncated-header"),
+    pytest.param(["--game", "{tmp}/phi_max0.pg", "--tau", "0.1"], id="zero-phi-max"),
+    pytest.param(["--game", "{tmp}/nan.pg", "--tau", "0.1"], id="nan-entries"),
 ])
 def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
     (tmp_path / "bad.pg").write_bytes(b"NOTAGAME" + b"\x00" * 64)
     (tmp_path / "short.pg").write_bytes(b"INPGGAME\x01")
+    zeros, nans = np.zeros((3, 3)), np.full((3, 3), np.nan)
+    save_game(PotentialGame(2, 3, zeros, (zeros, zeros), phi_max=0.0), tmp_path / "phi_max0.pg")
+    save_game(PotentialGame(2, 3, nans, (nans, nans), phi_max=1.0), tmp_path / "nan.pg")
     out = tmp_path / "res"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli_main(["run", *argv, "--out", str(out)]) == 2
