@@ -9,6 +9,11 @@ Prints one `sha256  relpath` line per output file and one per audit stdout
 (`relpath` is `<dir>/audit.stdout`). Two checkouts produce byte-identical
 outputs exactly when their printed lines are equal. Exits 1 if any command or
 audit exits non-zero.
+
+`ragged` runs three seeds that stop early at different iterations, so their
+aggregate covers only the iterations every run logged. Checkouts whose
+`aggregate_csvs` still rejects unequal iteration grids fail that command, and
+the script exits 1 there; that failure is expected, not a defect of the script.
 """
 
 import argparse
@@ -28,6 +33,8 @@ COMMANDS = (
              "--runs", "2", "--iters", "300"]),
     ("stop", ["inpg", "run", "--agents", "2", "--actions", "4", "--seed", "3", "--tau", "0.5",
               "--iters", "5000", "--stop-qre-gap", "1e-6"]),
+    ("ragged", ["inpg", "run", *SMALL, "--runs", "3", "--tau", "0.1",
+                "--stop-qre-gap", "1e-6", "--iters", "5000"]),
     ("zero_pg", ["inpg", "run", "--method", "pg_direct", "--runs", "2", "--iters", "0", *SMALL]),
     ("zero_mwu", ["inpg", "run", "--method", "mwu", "--iters", "0", *SMALL]),
     ("zero_npg", ["inpg", "run", "--tau", "0.2", "--iters", "0", *SMALL]),

@@ -160,16 +160,18 @@ def check_potential_property(
     """Check u_i(a_i, a_-i) - u_i(a_i', a_-i) == Phi(a_i, a_-i) - Phi(a_i', a_-i) for all tuples.
 
     Equivalent to u_i - Phi being constant along agent i's axis, so the scan
-    costs O(N * |A|^N). Returns (True, None) or (False, first violation found).
+    costs O(N * |A|^N); an agent whose utility tensor is the potential itself
+    is skipped. Returns (True, None) or (False, first violation found).
     """
     for i in range(game.num_agents):
-        diff = game.utilities[i] - game.potential
-        spread = diff.max(axis=i) - diff.min(axis=i)
-        worst = float(spread.max()) if spread.size else 0.0
+        if game.utilities[i] is game.potential:
+            continue
+        lines = np.moveaxis(game.utilities[i] - game.potential, i, -1)  # agent i's axis last
+        spread = np.ptp(lines, axis=-1)
+        worst = float(spread.max())
         if worst > tol:
-            opp_flat = int(np.argmax(spread))
-            opponents = np.unravel_index(opp_flat, spread.shape) if spread.ndim else ()
-            line = diff[_slice_at(i, opponents)]
+            opponents = np.unravel_index(int(np.argmax(spread)), spread.shape)
+            line = lines[opponents]
             return False, PotentialViolation(
                 agent=i,
                 action=int(np.argmax(line)),
@@ -178,13 +180,6 @@ def check_potential_property(
                 residual=worst,
             )
     return True, None
-
-
-def _slice_at(agent: int, opponents: tuple) -> tuple:
-    """Index tuple selecting agent's own-action line at a fixed opponent profile."""
-    idx = list(opponents)
-    idx.insert(agent, slice(None))
-    return tuple(idx)
 
 
 def _check_policy_dims(game: PotentialGame, policy) -> None:
@@ -235,8 +230,9 @@ def load_game(path) -> PotentialGame:
     """Read a game file, rejecting it (ValueError naming the path) unless it is well formed.
 
     Besides the layout, a file must declare a finite phi_max > 0, hold
-    potential entries in [0, phi_max] and utility entries in [0, 1], and, if
-    tagged "identical", store utility copies equal to the potential.
+    potential entries in [0, phi_max] and utility entries in [0, 1], pass
+    check_potential_property, and, if tagged "identical", store utility copies
+    equal to the potential.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -272,11 +268,9 @@ def load_game(path) -> PotentialGame:
     if kind == "identical":
         utilities = (phi,) * num_agents
     else:
-        utilities = tuple(
-            flat[entries * (1 + i) : entries * (2 + i)].reshape(shape).copy()
-            for i in range(num_agents)
-        )
-    return PotentialGame(
+        # Views of the payload array, which the potential keeps alive anyway.
+        utilities = tuple(u.reshape(shape) for u in utils.reshape(num_agents, entries))
+    game = PotentialGame(
         num_agents=num_agents,
         num_actions=num_actions,
         potential=phi,
@@ -285,6 +279,10 @@ def load_game(path) -> PotentialGame:
         seed=seed,
         kind=kind,
     )
+    ok, violation = check_potential_property(game)
+    if not ok:
+        raise ValueError(f"{path}: not a potential game: {violation}")
+    return game
 
 
 def summarize_game(game: PotentialGame) -> str:

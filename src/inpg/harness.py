@@ -9,9 +9,9 @@ One learning run produces three files in the output directory:
   run_<method>_tau<tau>_seed<seed>.policy.csv  final policy, one row per agent
 
 A multi-seed experiment additionally writes agg_<method>_tau<tau>.csv with the
-same columns averaged across seeds at matched iterations. Everything written
-here is a pure function of the inputs, so repeated invocations are
-byte-identical.
+same columns averaged across seeds at the iterations every seed logged (so up
+to the earliest early stop). Everything written here is a pure function of
+the inputs, so repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -277,14 +277,14 @@ def execute_runs(
 
 
 def aggregate_csvs(csv_paths: list[str], out_path: str) -> None:
-    """Average matched-iteration columns across runs of one variant."""
+    """Average each column across runs of one variant at the iterations every run logged."""
     columns = [read_csv_columns(p) for p in sorted(csv_paths)]
-    iters = columns[0]["iter"]
-    for cols in columns[1:]:
-        if len(cols["iter"]) != len(iters) or np.any(cols["iter"] != iters):
-            raise ValueError("aggregate requires identical iteration grids across seeds")
-    means = [np.mean([cols[name] for cols in columns], axis=0) for name in CSV_COLUMNS]
-    write_csv_rows(out_path, iters, means)
+    common = set.intersection(*(set(cols["iter"].tolist()) for cols in columns))
+    rows = [np.array([it in common for it in cols["iter"].tolist()], dtype=bool)
+            for cols in columns]
+    means = [np.mean([cols[name][keep] for cols, keep in zip(columns, rows)], axis=0)
+             for name in CSV_COLUMNS]
+    write_csv_rows(out_path, columns[0]["iter"][rows[0]], means)
 
 
 def run_experiment(
@@ -313,6 +313,8 @@ def run_experiment(
 
 
 def seeded_game_specs(kind: str, agents: int, actions: int, base_seed: int, runs: int) -> list[GameSpec]:
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     require_capacity(agents, actions)
     return [
         GameSpec(source=kind, num_agents=agents, num_actions=actions,

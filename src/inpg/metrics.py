@@ -1,11 +1,13 @@
 """Measurement layer: marginalized utilities, best responses, equilibrium gaps.
 
 The marginalized utility r_i is agent i's expected payoff per own action with
-all opponents integrated out under the current policy; every metric of a joint
-policy is computed exactly from one such sweep. The inner maximizations in the
-gaps have closed forms: a linear function over the simplex peaks at a vertex
-(NE-gap), and the entropy-regularized linear objective peaks at the softmax of
-r/tau with optimal value tau*logsumexp(r/tau) (QRE-gap).
+all opponents integrated out under the current policy. The dynamics compute
+every metric of a joint policy exactly from one sweep of the potential
+(`marginal_sweep`), whose rows equal r_i up to a constant per agent. The
+inner maximizations in the gaps have closed forms: a linear function over the
+simplex peaks at a vertex (NE-gap), and the entropy-regularized linear
+objective peaks at the softmax of r/tau with optimal value
+tau*logsumexp(r/tau) (QRE-gap).
 """
 
 from __future__ import annotations
@@ -24,28 +26,19 @@ def marginalized_utility(game: PotentialGame, agent: int, policy: JointPolicy) -
 
 
 def marginal_sweep(game: PotentialGame, probs_rows) -> tuple[np.ndarray, float]:
-    """All agents' marginalized utilities plus the expected potential, in one sweep.
+    """Every agent's potential marginal plus the expected potential, in one sweep.
 
-    probs_rows: sequence of per-agent probability vectors. Returns (r, phi_mean)
-    with r of shape (num_agents, num_actions). Identical-interest games share
-    one tensor, so prefix contractions are reused across agents.
+    probs_rows: per-agent probability vectors. Returns (r, phi_mean). Row i of r
+    is Phi with every agent but i integrated out: in a potential game it differs
+    from agent i's marginalized utility by a constant, which the updates, the
+    simplex projection and both gaps ignore.
     """
-    probs = list(probs_rows)
-    if game.is_identical_interest:
-        r, phi_mean = _contract.fold_all_agents(game.potential, probs)
-        return r, phi_mean
-    r = np.empty((game.num_agents, game.num_actions), dtype=np.float64)
-    for i in range(game.num_agents):
-        r[i] = _contract.fold_except(game.utilities[i], probs, i)
-    phi_mean = _contract.fold_all(game.potential, probs)
-    return r, phi_mean
+    return _contract.fold_all_agents(game.potential, list(probs_rows))
 
 
 def marginalized_utilities(game: PotentialGame, policy: JointPolicy) -> np.ndarray:
     """Marginalized utilities for every agent, shape (num_agents, num_actions)."""
-    _check_policy_dims(game, policy)
-    r, _ = marginal_sweep(game, policy.probs)
-    return r
+    return np.stack([marginalized_utility(game, i, policy) for i in range(game.num_agents)])
 
 
 def best_response_logs(r: np.ndarray, tau: float) -> np.ndarray:
@@ -116,19 +109,16 @@ def qre_gap_terms(r: np.ndarray, log_probs: np.ndarray, tau: float) -> np.ndarra
 
 def ne_gap(game: PotentialGame, policy: JointPolicy) -> float:
     """Largest utility any agent can gain by a unilateral deviation; 0 exactly at an NE."""
-    _check_policy_dims(game, policy)
-    r, _ = marginal_sweep(game, policy.probs)
+    r = marginalized_utilities(game, policy)
     return float(np.max(ne_gap_terms(r, policy.probs)))
 
 
 def qre_gap(game: PotentialGame, policy: JointPolicy, tau: float) -> float:
     """Largest regularized-utility gain available to any agent; 0 exactly at the QRE."""
-    _check_policy_dims(game, policy)
-    r, _ = marginal_sweep(game, policy.probs)
+    r = marginalized_utilities(game, policy)
     return float(np.max(qre_gap_terms(r, policy.log_probs, tau)))
 
 
 def best_response_log_distance(log_probs: np.ndarray, r: np.ndarray, tau: float) -> float:
     """max_i ||log pi_i - log best_response(r_i, tau)||_inf."""
-    br_logs = normalize_logs(np.asarray(r, dtype=np.float64) / tau)
-    return float(np.max(np.abs(log_probs - br_logs)))
+    return float(np.max(np.abs(log_probs - best_response_logs(r, tau))))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from inpg import dynamics
+from inpg._contract import fold_all, fold_all_agents, fold_except
 from inpg.dynamics import (
     MonotonicityError,
     ParameterError,
@@ -278,18 +280,53 @@ def test_summary_scalars_reduce_the_columns(method, tau, max_iters):
     assert log.phi_tau_initial == log.phi_tau[0] and log.phi_tau_final == log.phi_tau[-1]
 
 
-def test_runtime_monotone_gate_raises():
-    # Agents share 1 - potential, so this is not a potential game and ascent on
-    # the utilities lowers the declared potential.
+def test_runtime_monotone_gate_raises(monkeypatch):
+    # run refuses a non-potential game, so the gate is reached through a valid
+    # identical-interest game whose sweep is replaced by the marginals of 1 - Phi
+    # (with the true expected potential): ascent then lowers the potential.
     phi = np.array([[1.0, 0.0], [0.0, 0.0]])
     game = PotentialGame(num_agents=2, num_actions=2, potential=phi,
-                         utilities=(1.0 - phi, 1.0 - phi), phi_max=1.0)
+                         utilities=(phi, phi), phi_max=1.0)
+
+    def descending_sweep(game, probs_rows):
+        r, _ = fold_all_agents(1.0 - game.potential, list(probs_rows))
+        return r, fold_all_agents(game.potential, list(probs_rows))[1]
+
+    monkeypatch.setattr(dynamics, "marginal_sweep", descending_sweep)
     with pytest.raises(MonotonicityError) as info:
         run(game, RunConfig(method="npg", tau=0.1, max_iters=10))
     assert info.value.t == 0
     assert info.value.phi_tau_next < info.value.phi_tau_t
     for method in ("mwu", "pg_direct"):
         run(game, RunConfig(method=method, max_iters=10))
+
+
+@pytest.mark.parametrize("method,tau", [("npg", 0.1), ("pg_direct", 0.0)])
+def test_potential_sweep_matches_utility_sweep_trajectories(monkeypatch, method, tau):
+    game = make_general_potential(3, 4, seed=11)
+    config = RunConfig(method=method, tau=tau, max_iters=300)
+    log = run(game, config)
+
+    def utility_sweep(game, probs_rows):
+        probs = list(probs_rows)
+        r = np.stack([fold_except(u, probs, i) for i, u in enumerate(game.utilities)])
+        return r, fold_all(game.potential, probs)
+
+    monkeypatch.setattr(dynamics, "marginal_sweep", utility_sweep)
+    reference = run(game, config)
+    assert np.array_equal(log.iters, reference.iters)
+    for name in ("phi_tau", "ne_gap", "qre_gap", "jeffrey_step", "avg_ne_gap", "avg_qre_gap"):
+        np.testing.assert_allclose(getattr(log, name), getattr(reference, name), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method,tau", [("npg", 0.1), ("mwu", 0.0), ("pg_direct", 0.0)])
+def test_run_refuses_a_non_potential_game(method, tau):
+    # Agents share 1 - potential, so ascent on the utilities would lower the declared potential.
+    phi = np.array([[1.0, 0.0], [0.0, 0.0]])
+    game = PotentialGame(num_agents=2, num_actions=2, potential=phi,
+                         utilities=(1.0 - phi, 1.0 - phi), phi_max=1.0)
+    with pytest.raises(ValueError, match=r"not a potential game: PotentialViolation\(agent=0"):
+        run(game, RunConfig(method=method, tau=tau, max_iters=10))
 
 
 class TestMonotonicityError:

@@ -261,6 +261,7 @@ class TestSerialization:
         pytest.param(1.0, 0.5, math.nan, "custom", "utility entries", id="utility-nan"),
         pytest.param(1.0, 0.5, 0.25, "identical", "differs from the potential",
                      id="identical-copy-differs"),
+        pytest.param(1.0, 0.5, 0.25, "custom", "not a potential game", id="not-potential"),
     ])
     def test_bad_content_rejected(self, tmp_path, phi_max, phi_entry, u_entry, kind, match):
         phi = np.full((3, 3), 0.5)

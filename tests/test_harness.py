@@ -10,6 +10,7 @@ from inpg.cli import main as cli_main
 from inpg.dynamics import RunConfig, RunSummary, run
 from inpg.game import PotentialGame, make_identical_interest, save_game
 from inpg.harness import (
+    CSV_COLUMNS,
     CSV_HEADER,
     GameSpec,
     aggregate_csvs,
@@ -92,14 +93,18 @@ class TestAggregate:
         b = read_csv_columns(paths[1])
         assert np.allclose(agg["phi_tau"], (a["phi_tau"] + b["phi_tau"]) / 2, rtol=0, atol=0)
 
-    def test_mismatched_grids_rejected(self, tmp_path):
+    def test_mismatched_grids_average_common_iterations(self, tmp_path):
         game = make_identical_interest(2, 4, seed=1)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         write_run_csv(run(game, RunConfig(method="npg", tau=0.2, max_iters=10)), p1)
         write_run_csv(run(game, RunConfig(method="npg", tau=0.2, max_iters=12)), p2)
-        with pytest.raises(ValueError, match="grids"):
-            aggregate_csvs([str(p1), str(p2)], str(tmp_path / "agg.csv"))
+        out = tmp_path / "agg.csv"
+        aggregate_csvs([str(p1), str(p2)], str(out))
+        agg, a, b = (read_csv_columns(p) for p in (out, p1, p2))
+        assert agg["iter"].tolist() == list(range(11))
+        for name in CSV_COLUMNS:
+            assert np.array_equal(agg[name], (a[name] + b[name][:11]) / 2)
 
 
 class TestChecks:
@@ -271,6 +276,8 @@ def test_run_and_audit_report_the_same_checks(tmp_path, capsys):
     pytest.param(["--game", "{tmp}/short.pg", "--tau", "0.1"], id="truncated-header"),
     pytest.param(["--game", "{tmp}/phi_max0.pg", "--tau", "0.1"], id="zero-phi-max"),
     pytest.param(["--game", "{tmp}/nan.pg", "--tau", "0.1"], id="nan-entries"),
+    pytest.param(["--game", "{tmp}/non_potential.pg", "--tau", "0.1"], id="non-potential"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--runs", "0"], id="runs-0"),
 ])
 def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
     (tmp_path / "bad.pg").write_bytes(b"NOTAGAME" + b"\x00" * 64)
@@ -278,12 +285,27 @@ def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
     zeros, nans = np.zeros((3, 3)), np.full((3, 3), np.nan)
     save_game(PotentialGame(2, 3, zeros, (zeros, zeros), phi_max=0.0), tmp_path / "phi_max0.pg")
     save_game(PotentialGame(2, 3, nans, (nans, nans), phi_max=1.0), tmp_path / "nan.pg")
+    phi = np.array([[1.0, 0.0], [0.0, 0.0]])  # both agents get 1 - phi: not a potential game
+    save_game(PotentialGame(2, 2, phi, (1.0 - phi, 1.0 - phi), phi_max=1.0),
+              tmp_path / "non_potential.pg")
     out = tmp_path / "res"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli_main(["run", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("run: ")
     assert not out.exists()
+
+
+def test_early_stopped_runs_aggregate_up_to_the_earliest_stop(tmp_path):
+    out = tmp_path / "res"
+    assert cli_main(["run", "--agents", "2", "--actions", "3", "--runs", "3", "--tau", "0.1",
+                     "--stop-qre-gap", "1e-6", "--iters", "5000", "--out", str(out)]) == 0
+    metas = [read_run_meta(out / f"run_npg_tau0.1_seed{k}.meta.json") for k in range(3)]
+    assert all(meta.stopped_early for meta in metas)
+    stops = [meta.num_steps for meta in metas]
+    assert len(set(stops)) == 3  # ragged iteration grids
+    agg = read_csv_columns(out / "agg_npg_tau0.1.csv")
+    assert agg["iter"].tolist() == list(range(min(stops) + 1))
 
 
 def test_generate_misuse_exits_2(tmp_path, capsys):

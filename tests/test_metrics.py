@@ -53,6 +53,16 @@ class TestMarginalizedUtility:
             for i in range(game.num_agents):
                 assert np.allclose(r_all[i], naive_marginal(game, i, pol), atol=1e-12)
 
+    def test_sweep_rows_are_utility_marginals_up_to_a_constant(self, rng):
+        # marginal_sweep reads only the potential; in a potential game each of its
+        # rows differs from the agent's utility marginal by one constant.
+        for n in range(1, 4):
+            for a in range(2, 6):
+                game = make_general_potential(n, a, seed=int(rng.integers(0, 2**31)))
+                pol = random_policy(rng, n, a)
+                shift = marginal_sweep(game, pol.probs)[0] - marginalized_utilities(game, pol)
+                assert np.max(np.ptp(shift, axis=1)) <= 1e-13
+
     def test_entries_in_unit_interval(self, rng):
         game = random_small_game(rng)
         r = marginalized_utilities(game, random_policy(rng, game.num_agents, game.num_actions))
