@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import PotentialGame, check_potential_property
+from .game import PotentialGame
 from .metrics import (
     best_response_log_distance,
     marginal_sweep,
@@ -225,7 +225,7 @@ def step_update(
 
 
 def npg_step(game: PotentialGame, policy: JointPolicy, eta: float, tau: float) -> JointPolicy:
-    """One simultaneous update of every agent; like run, it requires a potential game."""
+    """One simultaneous update of every agent."""
     check_step_params(eta, tau)
     r, _ = marginal_sweep(game, policy.probs)
     return JointPolicy(step_update("npg", policy.log_probs, policy.probs, r, eta, tau)[0])
@@ -237,7 +237,7 @@ def pg_direct_update_probs(probs: np.ndarray, r: np.ndarray, eta: float) -> np.n
 
 
 def pg_direct_step(game: PotentialGame, policy: JointPolicy, eta: float) -> JointPolicy:
-    """One projected ascent step of every agent; like run, it requires a potential game."""
+    """One projected ascent step of every agent."""
     check_step_params(eta, 0.0)
     r, _ = marginal_sweep(game, policy.probs)
     return JointPolicy(step_update("pg_direct", policy.log_probs, policy.probs, r, eta, 0.0)[0])
@@ -253,8 +253,7 @@ def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
 def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     """Run the configured dynamic from uniform policies for max_iters steps.
 
-    All metrics at an iterate come from one sweep of the potential, so a game
-    that fails check_potential_property is refused first (ValueError). When
+    All metrics at an iterate come from one sweep of the potential. When
     improvement_guaranteed holds, every step must satisfy
     phi_tau[t+1] - phi_tau[t] >= J(step)/(2 eta) - MONOTONICITY_TOL.
 
@@ -263,9 +262,6 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     and logged rows are all derived from that record after the loop. Logged
     rows: every iterate through 1000, every 10th after, and the last.
     """
-    ok, violation = check_potential_property(game)
-    if not ok:
-        raise ValueError(f"not a potential game: {violation}")
     eta = config.resolve_eta(game)
     tau = config.tau
     method = config.method

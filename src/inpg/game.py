@@ -1,9 +1,10 @@
 """Finite potential games as dense joint-action tensors.
 
-A game holds a potential tensor and one utility tensor per agent, all of shape
-(num_actions,) * num_agents with agent 0 as the slowest-varying (row-major)
-axis. Unilateral deviations must change every agent's utility exactly as they
-change the potential; `check_potential_property` scans for violations.
+A game holds a potential tensor Phi of shape (num_actions,) * num_agents, with
+agent 0 as the slowest-varying (row-major) axis, and one dummy term c_i per
+agent over the opponents' actions. Agent i's utility is u_i = Phi + c_i(a_-i):
+a unilateral deviation changes u_i exactly as it changes Phi, so every game
+this module can represent is a potential game.
 
 Generators draw the potential i.i.d. Beta(1/2, 1/2) through the seeded
 generator in `rng`, so identical (num_agents, num_actions, seed) inputs yield
@@ -13,6 +14,7 @@ bitwise-identical tensors.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -25,7 +27,8 @@ DEFAULT_DENSE_CAP = 2**24
 MAX_AGENTS = 64  # numpy's limit on the number of array dimensions
 
 _MAGIC = b"INPGGAME"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+_V1_POTENTIAL_TOL = 1e-12  # largest spread of u_i - Phi along agent i's axis a v1 file may have
 
 
 class GameSizeError(ValueError):
@@ -37,14 +40,16 @@ class PotentialGame:
     """Dense potential game.
 
     potential: shape (num_actions,)*num_agents, entries in [0, phi_max].
-    utilities: one tensor per agent, same shape, entries in [0, 1].
+    dummies: one term c_i of shape (num_actions,)*(num_agents-1) per agent,
+        indexed by the opponents' actions in agent order, or () when every
+        agent's utility is the potential itself (identical interest).
     kind: generator tag ("identical", "general", or "custom").
     """
 
     num_agents: int
     num_actions: int
     potential: np.ndarray
-    utilities: tuple[np.ndarray, ...]
+    dummies: tuple[np.ndarray, ...]
     phi_max: float
     seed: int = 0
     kind: str = "custom"
@@ -53,14 +58,11 @@ class PotentialGame:
         shape = (self.num_actions,) * self.num_agents
         if self.potential.shape != shape:
             raise ValueError(f"potential shape {self.potential.shape} != {shape}")
-        if len(self.utilities) != self.num_agents:
-            raise ValueError(f"need {self.num_agents} utility tensors, got {len(self.utilities)}")
-        for u in self.utilities:
-            if u.shape != shape:
-                raise ValueError(f"utility shape {u.shape} != {shape}")
-        self.potential.setflags(write=False)
-        for u in self.utilities:
-            u.setflags(write=False)
+        if self.dummies and (len(self.dummies) != self.num_agents
+                             or any(c.shape != shape[1:] for c in self.dummies)):
+            raise ValueError(f"need no dummy terms or {self.num_agents} of shape {shape[1:]}")
+        for t in (self.potential, *self.dummies):
+            t.setflags(write=False)
 
     @property
     def joint_shape(self) -> tuple[int, ...]:
@@ -70,20 +72,16 @@ class PotentialGame:
     def num_entries(self) -> int:
         return self.num_actions**self.num_agents
 
+    def utility(self, agent: int) -> np.ndarray:
+        """u_i = Phi + c_i, computed on every call; the potential itself when there are no dummies."""
+        if not self.dummies:
+            return self.potential
+        return self.potential + np.expand_dims(self.dummies[agent], agent)
+
     @property
-    def is_identical_interest(self) -> bool:
-        return all(u is self.potential for u in self.utilities)
-
-
-@dataclass(frozen=True)
-class PotentialViolation:
-    """First violating unilateral deviation found by check_potential_property."""
-
-    agent: int
-    action: int
-    other_action: int
-    opponents: tuple[int, ...]  # opponent actions in agent order, agent's own slot removed
-    residual: float
+    def utilities(self) -> tuple[np.ndarray, ...]:
+        """Every agent's utility tensor, computed on every access and never cached."""
+        return tuple(self.utility(i) for i in range(self.num_agents))
 
 
 def require_capacity(num_agents: int, num_actions: int, max_entries: int = DEFAULT_DENSE_CAP) -> int:
@@ -112,7 +110,7 @@ def make_identical_interest(
         num_agents=num_agents,
         num_actions=num_actions,
         potential=phi,
-        utilities=(phi,) * num_agents,
+        dummies=(),
         phi_max=1.0,
         seed=seed,
         kind="identical",
@@ -126,60 +124,29 @@ def make_general_potential(
 
     Raw potential entries are Beta(1/2,1/2); each agent adds a dummy term
     c_i over opponent profiles, Uniform[0, 1/2]. Both are divided by 3/2 so
-    utilities u_i = (raw_phi + c_i)/1.5 stay in [0, 1]; the stored potential
-    is raw_phi/1.5 (the shared scaling preserves the deviation identity) and
-    phi_max = 2/3. The seed stream is consumed as: entries for the potential,
-    then entries/num_actions dummies per agent in agent order.
+    utilities Phi + c_i stay in [0, 1]; the stored potential is raw_phi/1.5,
+    the stored dummies c_i/1.5, and phi_max = 2/3. The seed stream is
+    consumed as: entries for the potential, then entries/num_actions dummies
+    per agent in agent order.
     """
     entries = require_capacity(num_agents, num_actions, max_entries)
     shape = (num_actions,) * num_agents
-    opp_shape = (num_actions,) * (num_agents - 1)
     opp_entries = num_actions ** (num_agents - 1)
 
     raw_phi = beta_half_half(uniform_array(seed, entries)).reshape(shape)
-    offset = entries
-    utilities = []
+    dummies = []
     for i in range(num_agents):
-        c_i = 0.5 * uniform_array(seed, opp_entries, offset=offset).reshape(opp_shape)
-        offset += opp_entries
-        utilities.append((raw_phi + np.expand_dims(c_i, axis=i)) / 1.5)
+        c_i = 0.5 * uniform_array(seed, opp_entries, offset=entries + i * opp_entries)
+        dummies.append(c_i.reshape(shape[1:]) / 1.5)
     return PotentialGame(
         num_agents=num_agents,
         num_actions=num_actions,
         potential=raw_phi / 1.5,
-        utilities=tuple(utilities),
+        dummies=tuple(dummies),
         phi_max=2.0 / 3.0,
         seed=seed,
         kind="general",
     )
-
-
-def check_potential_property(
-    game: PotentialGame, tol: float = 1e-12
-) -> tuple[bool, PotentialViolation | None]:
-    """Check u_i(a_i, a_-i) - u_i(a_i', a_-i) == Phi(a_i, a_-i) - Phi(a_i', a_-i) for all tuples.
-
-    Equivalent to u_i - Phi being constant along agent i's axis, so the scan
-    costs O(N * |A|^N); an agent whose utility tensor is the potential itself
-    is skipped. Returns (True, None) or (False, first violation found).
-    """
-    for i in range(game.num_agents):
-        if game.utilities[i] is game.potential:
-            continue
-        lines = np.moveaxis(game.utilities[i] - game.potential, i, -1)  # agent i's axis last
-        spread = np.ptp(lines, axis=-1)
-        worst = float(spread.max())
-        if worst > tol:
-            opponents = np.unravel_index(int(np.argmax(spread)), spread.shape)
-            line = lines[opponents]
-            return False, PotentialViolation(
-                agent=i,
-                action=int(np.argmax(line)),
-                other_action=int(np.argmin(line)),
-                opponents=tuple(int(a) for a in opponents),
-                residual=worst,
-            )
-    return True, None
 
 
 def _check_policy_dims(game: PotentialGame, policy) -> None:
@@ -199,7 +166,7 @@ def expected_potential(game: PotentialGame, policy) -> float:
 def expected_utility(game: PotentialGame, agent: int, policy) -> float:
     """u_i(pi) = sum_a u_i(a) * prod_j pi_j(a_j)."""
     _check_policy_dims(game, policy)
-    return _contract.fold_all(game.utilities[agent], list(policy.probs))
+    return _contract.fold_all(game.utility(agent), list(policy.probs))
 
 
 def save_game(game: PotentialGame, path) -> None:
@@ -207,32 +174,82 @@ def save_game(game: PotentialGame, path) -> None:
 
     Layout, all little-endian:
       8s    magic "INPGGAME"
-      u32   format version (1)
+      u32   format version (2)
       u32   num_agents
       u32   num_actions
       f64   phi_max
       u64   seed
       u32   tag length, then tag bytes (utf-8 generator tag)
-      f64[] potential then each utility tensor, row-major
+      f64[] potential, then each agent's dummy term (zeros when the game has
+            none), row-major
     """
     tag = game.kind.encode("utf-8")
+    zeros = np.zeros(game.joint_shape[1:])
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<IIIdQI", _FORMAT_VERSION, game.num_agents, game.num_actions,
                             game.phi_max, game.seed, len(tag)))
         f.write(tag)
-        f.write(np.ascontiguousarray(game.potential, dtype="<f8").tobytes())
-        for u in game.utilities:
-            f.write(np.ascontiguousarray(u, dtype="<f8").tobytes())
+        for t in (game.potential, *(game.dummies or (zeros,) * game.num_agents)):
+            f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+
+
+def _read_tensor(f, shape: tuple[int, ...]) -> np.ndarray:
+    """The next row-major f64 tensor of the file, a read-only view of the bytes read."""
+    return np.frombuffer(f.read(8 * math.prod(shape)), "<f8").reshape(shape)
+
+
+def _v1_dummy(path, phi: np.ndarray, u: np.ndarray, agent: int) -> np.ndarray:
+    """Agent's dummy term u - Phi, which a potential game keeps constant along the agent's axis."""
+    d = u - phi
+    spread = np.ptp(d, axis=agent)
+    worst = float(spread.max())
+    if worst > _V1_POTENTIAL_TOL:
+        opponents = tuple(int(a) for a in np.unravel_index(int(np.argmax(spread)), spread.shape))
+        raise ValueError(f"{path}: not a potential game: u_{agent} - Phi varies by {worst!r} "
+                         f"along agent {agent}'s actions at opponent actions {opponents}")
+    return np.asarray(d.mean(axis=agent))
+
+
+def _read_v1_dummies(f, path, phi: np.ndarray, kind: str) -> tuple[np.ndarray, ...]:
+    """Dummy terms from v1's N utility tensors, read one at a time."""
+    dummies = []
+    for i in range(phi.ndim):
+        u = _read_tensor(f, phi.shape)
+        if not (u.min() >= 0.0 and u.max() <= 1.0):
+            raise ValueError(f"{path}: utility entries must lie in [0, 1]")
+        if kind == "identical":
+            if not np.array_equal(u, phi):
+                raise ValueError(f"{path}: an identical-interest utility tensor differs from the potential")
+        else:
+            dummies.append(_v1_dummy(path, phi, u, i))
+    return tuple(dummies)
+
+
+def _read_v2_dummies(f, path, phi: np.ndarray, kind: str) -> tuple[np.ndarray, ...]:
+    """v2's N dummy terms, each checked to keep Phi + c_i in [0, 1] without forming it."""
+    dummies = []
+    for i in range(phi.ndim):
+        c = _read_tensor(f, phi.shape[1:])
+        # Rounding is monotone, so Phi + c_i peaks where Phi does along agent i's axis.
+        if not ((phi.min(axis=i) + c).min() >= 0.0 and (phi.max(axis=i) + c).max() <= 1.0):
+            raise ValueError(f"{path}: utility entries (potential plus dummy {i}) must lie in [0, 1]")
+        if kind == "identical":
+            if np.any(c != 0.0):
+                raise ValueError(f"{path}: an identical-interest file has a nonzero dummy term {i}")
+        else:
+            dummies.append(c)
+    return tuple(dummies)
 
 
 def load_game(path) -> PotentialGame:
     """Read a game file, rejecting it (ValueError naming the path) unless it is well formed.
 
     Besides the layout, a file must declare a finite phi_max > 0, hold
-    potential entries in [0, phi_max] and utility entries in [0, 1], pass
-    check_potential_property, and, if tagged "identical", store utility copies
-    equal to the potential.
+    potential entries in [0, phi_max] and utility entries in [0, 1], and, if
+    tagged "identical", have utilities equal to the potential. Format 1 files,
+    which store whole utility tensors, must also be potential games: each
+    u_i - Phi must be constant along agent i's axis to within 1e-12.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -242,47 +259,33 @@ def load_game(path) -> PotentialGame:
         if len(header) != 32:
             raise ValueError(f"{path}: truncated header")
         version, num_agents, num_actions, phi_max, seed, tag_len = struct.unpack("<IIIdQI", header)
-        if version != _FORMAT_VERSION:
+        if version not in (1, 2):
             raise ValueError(f"{path}: unsupported format version {version}")
         if not 0.0 < phi_max < math.inf:
             raise ValueError(f"{path}: phi_max must be finite and > 0, got {phi_max!r}")
         entries = require_capacity(num_agents, num_actions)
         shape = (num_actions,) * num_agents
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        per_agent = entries if version == 1 else entries // num_actions
+        expected = tag_len + 8 * (entries + num_agents * per_agent)
+        if size != expected:
+            raise ValueError(f"{path}: tag and payload have {size} bytes, expected {expected}")
         kind = f.read(tag_len).decode("utf-8")
-        payload = f.read()
-    expected = 8 * entries * (1 + num_agents)
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    # min/max propagate NaN and NaN fails every comparison, so NaN entries are rejected too.
-    potential, utils = flat[:entries], flat[entries:]
-    if not (potential.min() >= 0.0 and potential.max() <= phi_max):
-        raise ValueError(f"{path}: potential entries must lie in [0, phi_max = {phi_max!r}]")
-    if not (utils.min() >= 0.0 and utils.max() <= 1.0):
-        raise ValueError(f"{path}: utility entries must lie in [0, 1]")
-    if kind == "identical" and not all(
-        np.array_equal(u, potential) for u in utils.reshape(num_agents, entries)
-    ):
-        raise ValueError(f"{path}: an identical-interest utility tensor differs from the potential")
-    phi = potential.reshape(shape)
-    if kind == "identical":
-        utilities = (phi,) * num_agents
-    else:
-        # Views of the payload array, which the potential keeps alive anyway.
-        utilities = tuple(u.reshape(shape) for u in utils.reshape(num_agents, entries))
-    game = PotentialGame(
+        phi = _read_tensor(f, shape)
+        # min/max propagate NaN and NaN fails every comparison, so NaN entries are rejected too.
+        if not (phi.min() >= 0.0 and phi.max() <= phi_max):
+            raise ValueError(f"{path}: potential entries must lie in [0, phi_max = {phi_max!r}]")
+        read_dummies = _read_v1_dummies if version == 1 else _read_v2_dummies
+        dummies = read_dummies(f, path, phi, kind)
+    return PotentialGame(
         num_agents=num_agents,
         num_actions=num_actions,
         potential=phi,
-        utilities=utilities,
+        dummies=dummies,
         phi_max=phi_max,
         seed=seed,
         kind=kind,
     )
-    ok, violation = check_potential_property(game)
-    if not ok:
-        raise ValueError(f"{path}: not a potential game: {violation}")
-    return game
 
 
 def summarize_game(game: PotentialGame) -> str:

@@ -22,7 +22,7 @@ from .policy import JointPolicy, normalize_logs, row_entropies
 def marginalized_utility(game: PotentialGame, agent: int, policy: JointPolicy) -> np.ndarray:
     """r_i(a) = E_{a_-i ~ pi_-i} u_i(a, a_-i), exact enumeration. Entries lie in [0, 1]."""
     _check_policy_dims(game, policy)
-    return _contract.fold_except(game.utilities[agent], list(policy.probs), agent)
+    return _contract.fold_except(game.utility(agent), list(policy.probs), agent)
 
 
 def marginal_sweep(game: PotentialGame, probs_rows) -> tuple[np.ndarray, float]:
@@ -62,13 +62,6 @@ def best_response(r: np.ndarray, tau: float) -> np.ndarray:
         out[int(np.argmax(r))] = 1.0  # np.argmax returns the first maximizer
         return out
     return np.exp(best_response_logs(r, tau))
-
-
-def soft_maximum(r: np.ndarray, tau: float) -> float:
-    """tau * logsumexp(r / tau): the regularized utility attained by the best response."""
-    r = np.asarray(r, dtype=np.float64)
-    m = float(np.max(r))
-    return m + tau * float(np.log(np.sum(np.exp((r - m) / tau))))
 
 
 def regularized_utility(game: PotentialGame, agent: int, policy: JointPolicy, tau: float) -> float:

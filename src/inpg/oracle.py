@@ -48,7 +48,7 @@ def naive_marginal(game: PotentialGame, agent: int, policy: JointPolicy) -> np.n
     _check_scale(game)
     probs = policy.probs
     opponents = [j for j in range(game.num_agents) if j != agent]
-    u = game.utilities[agent]
+    u = game.utility(agent)
     r = np.zeros(game.num_actions)
     for profile in itertools.product(range(game.num_actions), repeat=len(opponents)):
         weight = 1.0

@@ -106,11 +106,6 @@ def entropy(row: np.ndarray) -> float:
     return float(-np.sum(terms))
 
 
-def entropy_logs(log_row: np.ndarray) -> float:
-    """Entropy straight from log-probabilities (accurate near the simplex boundary)."""
-    return float(-np.sum(np.exp(log_row) * log_row))
-
-
 def row_entropies(log_probs: np.ndarray) -> np.ndarray:
     """Per-agent entropies of a (num_agents, num_actions) log-probability array."""
     return -np.sum(np.exp(log_probs) * log_probs, axis=-1)
@@ -128,11 +123,6 @@ def kl(p_row: np.ndarray, q_row: np.ndarray) -> float:
     return max(float(np.sum(q[mask] * ((1.0 + d) * np.log1p(d) - d)) + np.sum(q[~mask])), 0.0)
 
 
-def kl_logs(lp: np.ndarray, lq: np.ndarray) -> float:
-    """KL(p || q) from log-probability rows, no re-exponentiation round trip."""
-    return max(float(np.sum(np.exp(lp) * (lp - lq))), 0.0)
-
-
 def jeffrey_logs(lp: np.ndarray, lq: np.ndarray) -> float:
     """Symmetrized KL summed over all rows of two log-probability arrays.
 
@@ -147,10 +137,6 @@ def jeffrey(p: JointPolicy, q: JointPolicy) -> float:
     if p.log_probs.shape != q.log_probs.shape:
         raise ValueError("policies have different shapes")
     return jeffrey_logs(p.log_probs, q.log_probs)
-
-
-def total_variation(p_row: np.ndarray, q_row: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(np.asarray(p_row) - np.asarray(q_row))))
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,15 @@ def random_small_game(rng: np.random.Generator, max_agents: int = 3, max_actions
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def write_v1_game(path, potential, utilities, phi_max, seed=0, kind="custom"):
+    """Write the format 1 layout byte for byte: header, then Phi and N whole utility tensors."""
+    num_agents, num_actions = potential.ndim, potential.shape[0]
+    tag = kind.encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"INPGGAME")
+        f.write(struct.pack("<IIIdQI", 1, num_agents, num_actions, phi_max, seed, len(tag)))
+        f.write(tag)
+        for t in (potential, *utilities):
+            f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())

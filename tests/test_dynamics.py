@@ -79,7 +79,7 @@ class TestNpgStep:
         # tau = 0 with action-independent payoffs leaves the policy alone.
         phi = np.full((2, 2), 0.4)
         game = PotentialGame(num_agents=2, num_actions=2, potential=phi,
-                             utilities=(phi, phi), phi_max=1.0)
+                             dummies=(), phi_max=1.0)
         pol = JointPolicy.from_probs(np.array([[0.3, 0.7], [0.9, 0.1]]))
         stepped = npg_step(game, pol, eta=0.25, tau=0.0)
         assert np.allclose(stepped.probs, pol.probs, atol=1e-15)
@@ -98,7 +98,9 @@ class TestNpgStep:
         perm_game = PotentialGame(
             num_agents=3, num_actions=3,
             potential=np.transpose(game.potential, perm).copy(),
-            utilities=tuple(np.transpose(game.utilities[p], perm).copy() for p in perm),
+            # c_p over p's opponents becomes new agent k's dummy, where perm[k] = p.
+            dummies=tuple(np.transpose(np.expand_dims(game.dummies[p], p), perm).squeeze(k)
+                          for k, p in enumerate(perm)),
             phi_max=game.phi_max,
         )
         perm_pol = JointPolicy(pol.log_probs[list(perm)].copy())
@@ -111,7 +113,7 @@ class TestPgDirectStep:
     def test_constant_payoff_fixed_point(self):
         phi = np.full((3, 3), 0.8)
         game = PotentialGame(num_agents=2, num_actions=3, potential=phi,
-                             utilities=(phi, phi), phi_max=1.0)
+                             dummies=(), phi_max=1.0)
         pol = JointPolicy.from_probs(np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]))
         stepped = pg_direct_step(game, pol, eta=0.1)
         assert np.allclose(stepped.probs, pol.probs, atol=1e-12)
@@ -281,12 +283,12 @@ def test_summary_scalars_reduce_the_columns(method, tau, max_iters):
 
 
 def test_runtime_monotone_gate_raises(monkeypatch):
-    # run refuses a non-potential game, so the gate is reached through a valid
+    # A game is a potential game by construction, so the gate is reached through an
     # identical-interest game whose sweep is replaced by the marginals of 1 - Phi
     # (with the true expected potential): ascent then lowers the potential.
     phi = np.array([[1.0, 0.0], [0.0, 0.0]])
     game = PotentialGame(num_agents=2, num_actions=2, potential=phi,
-                         utilities=(phi, phi), phi_max=1.0)
+                         dummies=(), phi_max=1.0)
 
     def descending_sweep(game, probs_rows):
         r, _ = fold_all_agents(1.0 - game.potential, list(probs_rows))
@@ -317,16 +319,6 @@ def test_potential_sweep_matches_utility_sweep_trajectories(monkeypatch, method,
     assert np.array_equal(log.iters, reference.iters)
     for name in ("phi_tau", "ne_gap", "qre_gap", "jeffrey_step", "avg_ne_gap", "avg_qre_gap"):
         np.testing.assert_allclose(getattr(log, name), getattr(reference, name), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("method,tau", [("npg", 0.1), ("mwu", 0.0), ("pg_direct", 0.0)])
-def test_run_refuses_a_non_potential_game(method, tau):
-    # Agents share 1 - potential, so ascent on the utilities would lower the declared potential.
-    phi = np.array([[1.0, 0.0], [0.0, 0.0]])
-    game = PotentialGame(num_agents=2, num_actions=2, potential=phi,
-                         utilities=(1.0 - phi, 1.0 - phi), phi_max=1.0)
-    with pytest.raises(ValueError, match=r"not a potential game: PotentialViolation\(agent=0"):
-        run(game, RunConfig(method=method, tau=tau, max_iters=10))
 
 
 class TestMonotonicityError:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from inpg.game import (
     DEFAULT_DENSE_CAP,
     GameSizeError,
     PotentialGame,
-    check_potential_property,
     expected_potential,
     expected_utility,
     load_game,
@@ -23,7 +23,7 @@ from inpg.game import (
 from inpg.metrics import marginalized_utility
 from inpg.policy import JointPolicy, uniform_policy
 
-from conftest import random_policy
+from conftest import random_policy, write_v1_game
 
 
 def exhaustive_potential_scan(game, tol=1e-12):
@@ -66,16 +66,14 @@ class TestIdenticalInterest:
 
     def test_potential_property_trivial(self):
         game = make_identical_interest(2, 4, seed=3)
-        ok, violation = check_potential_property(game)
-        assert ok and violation is None
+        assert game.dummies == ()
+        assert exhaustive_potential_scan(game)
 
 
 class TestGeneralPotential:
     def test_property_by_exhaustive_scan(self):
         game = make_general_potential(2, 2, seed=1)
         assert exhaustive_potential_scan(game)
-        ok, _ = check_potential_property(game, tol=1e-12)
-        assert ok
 
     def test_single_agent_dummy_is_constant(self):
         game = make_general_potential(1, 5, seed=11)
@@ -103,36 +101,34 @@ class TestGeneralPotential:
     )
     def test_every_generated_game_is_potential(self, n, a, seed):
         for maker in (make_identical_interest, make_general_potential):
-            ok, violation = check_potential_property(maker(n, a, seed), tol=1e-12)
-            assert ok, violation
+            assert exhaustive_potential_scan(maker(n, a, seed))
 
 
 class TestPotentialCheck:
-    def test_detects_perturbation(self):
+    """A format 1 file stores whole utility tensors, so its reader checks the potential property."""
+
+    def test_detects_perturbation(self, tmp_path):
         base = make_identical_interest(2, 3, seed=9)
         utilities = [u.copy() for u in base.utilities]
-        utilities[1][2, 1] += 1e-3
-        broken = PotentialGame(
-            num_agents=2, num_actions=3, potential=base.potential.copy(),
-            utilities=tuple(utilities), phi_max=1.0,
-        )
-        ok, violation = check_potential_property(broken, tol=1e-12)
-        assert not ok
-        assert violation.agent == 1
-        assert violation.residual == pytest.approx(1e-3, rel=1e-9)
-        assert violation.opponents == (2,)
-        assert {violation.action, violation.other_action} >= {1}
+        utilities[1][2, 1] += 1e-3 if utilities[1][2, 1] < 0.5 else -1e-3  # stays in [0, 1]
+        path = tmp_path / "broken.pg"
+        write_v1_game(path, base.potential, utilities, phi_max=1.0)
+        with pytest.raises(ValueError, match="not a potential game") as info:
+            load_game(path)
+        message = str(info.value)
+        assert "u_1 - Phi varies by" in message and "at opponent actions (2,)" in message
+        residual = float(message.split("varies by ")[1].split()[0])
+        assert residual == pytest.approx(1e-3, rel=1e-9)
 
-    def test_residual_below_tol_passes(self):
+    def test_residual_below_tol_passes(self, tmp_path):
         base = make_identical_interest(2, 3, seed=9)
         utilities = [u.copy() for u in base.utilities]
         utilities[0][0, 0] += 1e-14
-        nudged = PotentialGame(
-            num_agents=2, num_actions=3, potential=base.potential.copy(),
-            utilities=tuple(utilities), phi_max=1.0,
-        )
-        ok, _ = check_potential_property(nudged, tol=1e-12)
-        assert ok
+        path = tmp_path / "nudged.pg"
+        write_v1_game(path, base.potential, utilities, phi_max=1.0)
+        loaded = load_game(path)
+        assert np.array_equal(loaded.potential, base.potential)
+        assert np.max(np.abs(loaded.utilities[0] - utilities[0])) <= 1e-14
 
 
 class TestCapacity:
@@ -224,7 +220,8 @@ class TestSerialization:
         save_game(game, path)
         loaded = load_game(path)
         assert np.array_equal(loaded.potential, game.potential)
-        assert loaded.is_identical_interest
+        assert loaded.dummies == ()
+        assert all(u is loaded.potential for u in loaded.utilities)
         assert (loaded.num_agents, loaded.num_actions) == (3, 4)
         assert loaded.phi_max == game.phi_max
         assert loaded.seed == 77 and loaded.kind == "identical"
@@ -234,6 +231,10 @@ class TestSerialization:
         path = tmp_path / "g.pg"
         save_game(game, path)
         loaded = load_game(path)
+        assert np.array_equal(loaded.potential, game.potential)
+        assert len(loaded.dummies) == 2
+        for c, d in zip(loaded.dummies, game.dummies):
+            assert np.array_equal(c, d)
         for u, v in zip(loaded.utilities, game.utilities):
             assert np.array_equal(u, v)
 
@@ -244,35 +245,96 @@ class TestSerialization:
         save_game(load_game(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("maker", [make_identical_interest, make_general_potential])
+    def test_v1_file_loads(self, tmp_path, maker):
+        game = maker(4, 20, seed=7)
+        path = tmp_path / "v1.pg"
+        write_v1_game(path, game.potential, game.utilities, game.phi_max, game.seed, game.kind)
+        loaded = load_game(path)
+        assert np.array_equal(loaded.potential, game.potential)
+        assert (loaded.seed, loaded.kind, loaded.phi_max) == (7, game.kind, game.phi_max)
+        assert len(loaded.dummies) == len(game.dummies)
+        for u, v in zip(loaded.utilities, game.utilities):
+            assert np.max(np.abs(u - v)) <= 1e-15
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pg"
         path.write_bytes(b"NOTAGAME" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_game(path)
 
-    @pytest.mark.parametrize("phi_max,phi_entry,u_entry,kind,match", [
-        pytest.param(0.0, 0.0, 0.0, "custom", "phi_max must", id="phi_max-zero"),
-        pytest.param(math.inf, 0.5, 0.5, "custom", "phi_max must", id="phi_max-inf"),
-        pytest.param(math.nan, 0.5, 0.5, "custom", "phi_max must", id="phi_max-nan"),
-        pytest.param(0.4, 0.5, 0.5, "custom", "potential entries", id="potential-above-phi_max"),
-        pytest.param(1.0, -0.1, 0.5, "custom", "potential entries", id="potential-negative"),
-        pytest.param(1.0, math.nan, 0.5, "custom", "potential entries", id="potential-nan"),
-        pytest.param(1.0, 0.5, 1.5, "custom", "utility entries", id="utility-above-one"),
-        pytest.param(1.0, 0.5, math.nan, "custom", "utility entries", id="utility-nan"),
-        pytest.param(1.0, 0.5, 0.25, "identical", "differs from the potential",
+    # Format 1 cases set utility u_1 at joint action (1, 2); format 2 cases set dummy c_1
+    # at agent 0's action 2.
+    @pytest.mark.parametrize("version,phi_max,phi_entry,entry,kind,match", [
+        pytest.param(1, 0.0, 0.0, 0.0, "custom", "phi_max must", id="phi_max-zero"),
+        pytest.param(1, math.inf, 0.5, 0.5, "custom", "phi_max must", id="phi_max-inf"),
+        pytest.param(1, math.nan, 0.5, 0.5, "custom", "phi_max must", id="phi_max-nan"),
+        pytest.param(1, 0.4, 0.5, 0.5, "custom", "potential entries", id="potential-above-phi_max"),
+        pytest.param(1, 1.0, -0.1, 0.5, "custom", "potential entries", id="potential-negative"),
+        pytest.param(1, 1.0, math.nan, 0.5, "custom", "potential entries", id="potential-nan"),
+        pytest.param(1, 1.0, 0.5, 1.5, "custom", "utility entries", id="utility-above-one"),
+        pytest.param(1, 1.0, 0.5, math.nan, "custom", "utility entries", id="utility-nan"),
+        pytest.param(1, 1.0, 0.5, 0.25, "identical", "differs from the potential",
                      id="identical-copy-differs"),
-        pytest.param(1.0, 0.5, 0.25, "custom", "not a potential game", id="not-potential"),
+        pytest.param(1, 1.0, 0.5, 0.25, "custom", "not a potential game", id="not-potential"),
+        pytest.param(2, 1.0, 0.5, 0.6, "custom", r"utility entries \(potential plus dummy 1\)",
+                     id="v2-dummy-above-one"),
+        pytest.param(2, 1.0, 0.5, -0.6, "custom", "utility entries", id="v2-dummy-below-zero"),
+        pytest.param(2, 1.0, 0.5, math.nan, "custom", "utility entries", id="v2-dummy-nan"),
+        pytest.param(2, 1.0, 0.5, 0.25, "identical", "nonzero dummy term 1",
+                     id="v2-identical-nonzero-dummy"),
     ])
-    def test_bad_content_rejected(self, tmp_path, phi_max, phi_entry, u_entry, kind, match):
+    def test_bad_content_rejected(self, tmp_path, version, phi_max, phi_entry, entry, kind, match):
         phi = np.full((3, 3), 0.5)
         phi[0, 0] = phi_entry
-        u = phi.copy()
-        u[1, 2] = u_entry
         path = tmp_path / "bad.pg"
-        save_game(PotentialGame(2, 3, phi, (phi, u), phi_max=phi_max, kind=kind), path)
+        if version == 1:
+            u = phi.copy()
+            u[1, 2] = entry
+            write_v1_game(path, phi, (phi, u), phi_max=phi_max, kind=kind)
+        else:
+            c = np.zeros(3)
+            c[2] = entry
+            save_game(PotentialGame(2, 3, phi, (np.zeros(3), c), phi_max=phi_max, kind=kind), path)
         with pytest.raises(ValueError, match=match) as info:
             load_game(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8])
+    def test_trailing_bytes_rejected(self, tmp_path, version, extra):
+        game = make_general_potential(2, 3, seed=5)
+        path = tmp_path / "long.pg"
+        if version == 1:
+            write_v1_game(path, game.potential, game.utilities, game.phi_max)
+        else:
+            save_game(game, path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match="payload have") as info:
+            load_game(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("version,bound", [(1, 1.5), (2, 1.25)])
+    def test_load_peak_memory(self, tmp_path, version, bound):
+        # v1 is streamed one utility tensor at a time: its peak is bounded by the file's
+        # payload. v2 reads each tensor straight into the game: its peak is bounded by
+        # the loaded game.
+        game = make_general_potential(4, 20, seed=7)
+        path = tmp_path / "g.pg"
+        if version == 1:
+            write_v1_game(path, game.potential, game.utilities, game.phi_max, game.seed, game.kind)
+        else:
+            save_game(game, path)
+        tracemalloc.start()
+        try:
+            loaded = load_game(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        game_bytes = loaded.potential.nbytes + sum(c.nbytes for c in loaded.dummies)
+        payload = 8 * (1 + 4) * 20**4
+        assert game_bytes == 8 * (20**4 + 4 * 20**3)
+        assert peak <= bound * (payload if version == 1 else game_bytes)
 
     @pytest.mark.parametrize("num_agents,num_actions", [(64, 20), (65, 1)])
     def test_oversized_header_rejected_before_allocating(self, tmp_path, num_agents, num_actions):
@@ -281,6 +343,19 @@ class TestSerialization:
         path.write_bytes(b"INPGGAME" + header + b"\x00" * 64)
         with pytest.raises(GameSizeError):
             load_game(path)
+
+    def test_oversized_tag_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "long_tag.pg"
+        header = struct.pack("<IIIdQI", 2, 2, 3, 1.0, 0, 2**32 - 1)
+        path.write_bytes(b"INPGGAME" + header + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="tag and payload have 64 bytes"):
+                load_game(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.pg"

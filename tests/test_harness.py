@@ -8,7 +8,7 @@ import pytest
 
 from inpg.cli import main as cli_main
 from inpg.dynamics import RunConfig, RunSummary, run
-from inpg.game import PotentialGame, make_identical_interest, save_game
+from inpg.game import PotentialGame, make_general_potential, make_identical_interest, save_game
 from inpg.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -28,6 +28,8 @@ from inpg.harness import (
     write_run_meta,
 )
 from inpg.svg import line_chart
+
+from conftest import write_v1_game
 
 
 @pytest.fixture
@@ -165,6 +167,26 @@ class TestExperiment:
         rebuilt = spec.build()
         assert np.array_equal(rebuilt.potential, game.potential)
 
+    def test_file_format_does_not_change_results(self, tmp_path):
+        game = make_general_potential(3, 4, seed=6)
+        v1, v2 = str(tmp_path / "v1.pg"), str(tmp_path / "v2.pg")
+        write_v1_game(v1, game.potential, game.utilities, game.phi_max, game.seed, game.kind)
+        save_game(game, v2)
+        variants = [RunConfig(method="npg", tau=0.1, max_iters=300)]
+        specs = {
+            "memory": GameSpec(source="general", num_agents=3, num_actions=4, seed=6),
+            "v2": GameSpec(source="file", path=v2, seed=6),
+            "v1": GameSpec(source="file", path=v1, seed=6),
+        }
+        outputs = {}
+        for label, spec in specs.items():
+            out = tmp_path / label
+            run_experiment(str(out), [spec], variants)
+            outputs[label] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert len(outputs["memory"]) == 4  # run CSV, meta, policy and aggregate
+        assert outputs["v2"] == outputs["memory"]
+        assert outputs["v1"] == outputs["memory"]
+
 
 class TestPlot:
     def test_figures_written_and_deterministic(self, tmp_path):
@@ -283,11 +305,10 @@ def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
     (tmp_path / "bad.pg").write_bytes(b"NOTAGAME" + b"\x00" * 64)
     (tmp_path / "short.pg").write_bytes(b"INPGGAME\x01")
     zeros, nans = np.zeros((3, 3)), np.full((3, 3), np.nan)
-    save_game(PotentialGame(2, 3, zeros, (zeros, zeros), phi_max=0.0), tmp_path / "phi_max0.pg")
-    save_game(PotentialGame(2, 3, nans, (nans, nans), phi_max=1.0), tmp_path / "nan.pg")
+    save_game(PotentialGame(2, 3, zeros, (), phi_max=0.0), tmp_path / "phi_max0.pg")
+    save_game(PotentialGame(2, 3, nans, (), phi_max=1.0), tmp_path / "nan.pg")
     phi = np.array([[1.0, 0.0], [0.0, 0.0]])  # both agents get 1 - phi: not a potential game
-    save_game(PotentialGame(2, 2, phi, (1.0 - phi, 1.0 - phi), phi_max=1.0),
-              tmp_path / "non_potential.pg")
+    write_v1_game(tmp_path / "non_potential.pg", phi, (1.0 - phi, 1.0 - phi), phi_max=1.0)
     out = tmp_path / "res"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli_main(["run", *argv, "--out", str(out)]) == 2

@@ -17,12 +17,17 @@ from inpg.metrics import (
     qre_gap_terms,
     regularized_potential,
     regularized_utility,
-    soft_maximum,
 )
 from inpg.oracle import grid_gap, naive_marginal
 from inpg.policy import JointPolicy, entropy, jeffrey, kl, uniform_policy
 
 from conftest import random_policy, random_small_game
+
+
+def soft_maximum(r: np.ndarray, tau: float) -> float:
+    """tau * logsumexp(r / tau): the regularized utility attained by the best response."""
+    m = float(np.max(r))
+    return m + tau * float(np.log(np.sum(np.exp((r - m) / tau))))
 
 
 def point_mass_row(num_actions, action):

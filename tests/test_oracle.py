@@ -91,7 +91,7 @@ class TestFisherStep:
 
         phi = np.full((3, 3), 0.5)
         game = PotentialGame(num_agents=2, num_actions=3, potential=phi,
-                             utilities=(phi, phi), phi_max=1.0)
+                             dummies=(), phi_max=1.0)
         params = SoftmaxParams(np.array([[0.4, -0.2, 0.0], [1.0, 0.0, -1.0]]))
         stepped = fisher_npg_step(game, params, eta=0.1, tau=0.0)
         assert np.allclose(stepped.probs, softmax(params).probs, atol=1e-12)

@@ -12,20 +12,32 @@ from inpg.policy import (
     JointPolicy,
     SoftmaxParams,
     entropy,
-    entropy_logs,
     jeffrey,
     jeffrey_logs,
     kl,
-    kl_logs,
     logsumexp,
     normalize_logs,
     policy_from_csv,
     policy_to_csv,
     project_simplex,
     softmax,
-    total_variation,
     uniform_policy,
 )
+
+
+def entropy_logs(log_row: np.ndarray) -> float:
+    """Entropy straight from log-probabilities."""
+    return float(-np.sum(np.exp(log_row) * log_row))
+
+
+def kl_logs(lp: np.ndarray, lq: np.ndarray) -> float:
+    """KL(p || q) from log-probability rows."""
+    return max(float(np.sum(np.exp(lp) * (lp - lq))), 0.0)
+
+
+def total_variation(p_row: np.ndarray, q_row: np.ndarray) -> float:
+    return 0.5 * float(np.sum(np.abs(np.asarray(p_row) - np.asarray(q_row))))
+
 
 finite_logits = arrays(
     np.float64,
