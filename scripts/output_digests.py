@@ -14,6 +14,10 @@ audit exits non-zero.
 aggregate covers only the iterations every run logged. Checkouts whose
 `aggregate_csvs` still rejects unequal iteration grids fail that command, and
 the script exits 1 there; that failure is expected, not a defect of the script.
+
+`gen4x20` is the shape of the benchmark's general 4x20 workload, where two
+folds of the sweep read the full tensor. `five` runs 5 agents, so most of its
+sweep's folds are the small ones, over tensors of 6^2 to 6^4 entries.
 """
 
 import argparse
@@ -38,6 +42,9 @@ COMMANDS = (
     ("zero_pg", ["inpg", "run", "--method", "pg_direct", "--runs", "2", "--iters", "0", *SMALL]),
     ("zero_mwu", ["inpg", "run", "--method", "mwu", "--iters", "0", *SMALL]),
     ("zero_npg", ["inpg", "run", "--tau", "0.2", "--iters", "0", *SMALL]),
+    ("gen4x20", ["inpg", "run", "--kind", "general", "--agents", "4", "--actions", "20",
+                 "--runs", "1", "--tau", "0.01", "--iters", "1000"]),
+    ("five", ["inpg", "run", "--agents", "5", "--actions", "6", "--tau", "0.1", "--iters", "300"]),
 )
 
 

@@ -32,6 +32,7 @@ from .metrics import (
     best_response_log_distance,
     marginal_sweep,
     ne_gap_terms,
+    policy_values,
     qre_gap_terms,
 )
 from .policy import (
@@ -274,9 +275,15 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     jeffrey = array("d")  # one value per step; step t leaves iterate t
 
     def record(r: np.ndarray, phi_mean: float, lp: np.ndarray, probs: np.ndarray) -> None:
-        phi_tau.append(phi_mean + tau * float(np.sum(row_entropies(lp))) if tau > 0 else phi_mean)
-        ne.append(float(np.max(ne_gap_terms(r, probs))))
-        qre.append(float(np.max(qre_gap_terms(r, lp, tau))) if tau > 0 else nan)
+        values = policy_values(r, probs)  # shared by both gaps
+        ne.append(float(ne_gap_terms(r, values).max()))
+        if tau > 0:
+            h = row_entropies(lp)  # shared by phi_tau and the qre gap
+            phi_tau.append(phi_mean + tau * float(h.sum()))
+            qre.append(float(qre_gap_terms(r, values, h, tau).max()))
+        else:
+            phi_tau.append(phi_mean)
+            qre.append(nan)
 
     lp = np.full((game.num_agents, game.num_actions), -math.log(game.num_actions))
     probs = np.exp(lp)

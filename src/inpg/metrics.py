@@ -79,37 +79,44 @@ def regularized_potential(game: PotentialGame, policy: JointPolicy, tau: float) 
     return expected_potential(game, policy) + tau * float(np.sum(row_entropies(policy.log_probs)))
 
 
-def ne_gap_terms(r: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Per-agent unregularized improvement: max_a r_i(a) - <r_i, pi_i>. Clamped at 0."""
-    gains = np.max(r, axis=-1) - np.sum(r * probs, axis=-1)
-    return np.maximum(gains, 0.0)
+def policy_values(r: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per-agent <r_i, pi_i>: each agent's expected marginal under its own policy."""
+    return (r * probs).sum(axis=-1)
 
 
-def qre_gap_terms(r: np.ndarray, log_probs: np.ndarray, tau: float) -> np.ndarray:
+def ne_gap_terms(r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-agent unregularized improvement: max_a r_i(a) - <r_i, pi_i>. Clamped at 0.
+
+    values: policy_values(r, probs).
+    """
+    return np.maximum(r.max(axis=-1) - values, 0.0)
+
+
+def qre_gap_terms(r: np.ndarray, values: np.ndarray, entropies: np.ndarray, tau: float) -> np.ndarray:
     """Per-agent regularized improvement: tau*LSE(r_i/tau) - <r_i, pi_i> - tau*H(pi_i).
 
-    Equals tau * KL(pi_i || best_response(r_i, tau)). Clamped at 0 against
-    rounding in the cancellation near a fixed point.
+    values: policy_values(r, probs); entropies: row_entropies(log_probs). Equals
+    tau * KL(pi_i || best_response(r_i, tau)). Clamped at 0 against rounding in
+    the cancellation near a fixed point.
     """
     if tau <= 0:
         raise ValueError("qre_gap requires tau > 0")
-    m = np.max(r, axis=-1, keepdims=True)
-    soft_max = m[:, 0] + tau * np.log(np.sum(np.exp((r - m) / tau), axis=-1))
-    probs = np.exp(log_probs)
-    current = np.sum(r * probs, axis=-1) + tau * row_entropies(log_probs)
-    return np.maximum(soft_max - current, 0.0)
+    m = r.max(axis=-1, keepdims=True)
+    soft_max = m[:, 0] + tau * np.log(np.exp((r - m) / tau).sum(axis=-1))
+    return np.maximum(soft_max - (values + tau * entropies), 0.0)
 
 
 def ne_gap(game: PotentialGame, policy: JointPolicy) -> float:
     """Largest utility any agent can gain by a unilateral deviation; 0 exactly at an NE."""
     r = marginalized_utilities(game, policy)
-    return float(np.max(ne_gap_terms(r, policy.probs)))
+    return float(np.max(ne_gap_terms(r, policy_values(r, policy.probs))))
 
 
 def qre_gap(game: PotentialGame, policy: JointPolicy, tau: float) -> float:
     """Largest regularized-utility gain available to any agent; 0 exactly at the QRE."""
     r = marginalized_utilities(game, policy)
-    return float(np.max(qre_gap_terms(r, policy.log_probs, tau)))
+    values = policy_values(r, policy.probs)
+    return float(np.max(qre_gap_terms(r, values, row_entropies(policy.log_probs), tau)))
 
 
 def best_response_log_distance(log_probs: np.ndarray, r: np.ndarray, tau: float) -> float:

@@ -22,11 +22,9 @@ _NORMALIZATION_TOL = 1e-12
 
 def logsumexp(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     """Max-shifted log(sum(exp(x))) along an axis."""
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-    return out
+    m = x.max(axis=axis, keepdims=True)
+    out = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
+    return out if keepdims else out.squeeze(axis=axis)
 
 
 def normalize_logs(logits: np.ndarray) -> np.ndarray:
@@ -108,7 +106,7 @@ def entropy(row: np.ndarray) -> float:
 
 def row_entropies(log_probs: np.ndarray) -> np.ndarray:
     """Per-agent entropies of a (num_agents, num_actions) log-probability array."""
-    return -np.sum(np.exp(log_probs) * log_probs, axis=-1)
+    return -(np.exp(log_probs) * log_probs).sum(axis=-1)
 
 
 def kl(p_row: np.ndarray, q_row: np.ndarray) -> float:
@@ -129,7 +127,7 @@ def jeffrey_logs(lp: np.ndarray, lq: np.ndarray) -> float:
     Computed elementwise as (p - q)(log p - log q) >= 0, so rounding can never
     make the result negative.
     """
-    return float(np.sum((np.exp(lp) - np.exp(lq)) * (lp - lq)))
+    return float(((np.exp(lp) - np.exp(lq)) * (lp - lq)).sum())
 
 
 def jeffrey(p: JointPolicy, q: JointPolicy) -> float:

@@ -29,6 +29,7 @@ from inpg.metrics import (
     best_response,
     marginalized_utilities,
     ne_gap,
+    policy_values,
     qre_gap,
     qre_gap_terms,
 )
@@ -45,6 +46,7 @@ from inpg.policy import (
     jeffrey,
     kl,
     normalize_logs,
+    row_entropies,
     softmax,
     uniform_policy,
 )
@@ -200,7 +202,8 @@ def test_criterion_6_brute_force_equivalence():
         pol = JointPolicy.from_logits(rng.normal(size=(2, 2)))
         tau = float(rng.uniform(0.5, 1.0))
         r_all = marginalized_utilities(game, pol)
-        terms = qre_gap_terms(r_all, pol.log_probs, tau)
+        values = policy_values(r_all, pol.probs)
+        terms = qre_gap_terms(r_all, values, row_entropies(pol.log_probs), tau)
         for i in range(2):
             diff = terms[i] - grid_gap(game, i, pol, tau, grid_resolution=1e-4)
             assert -1e-10 <= diff <= 1e-6  # grid search may undershoot by the spacing slack

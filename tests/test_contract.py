@@ -1,0 +1,87 @@
+"""The 2-D fold kernels against the stacked-form contractions they replaced, bit for bit.
+
+The references below fold in the same order as `inpg._contract` but through
+numpy's stacked N-D `@` and `np.tensordot`. The rewrite changed only the
+layout of each fold, so every marginal, mean and expectation must be equal,
+not close. The references are evaluated on a C-contiguous tensor; the kernels
+must also give those bits for a non-contiguous copy of it.
+"""
+
+import numpy as np
+import pytest
+
+from inpg._contract import fold_all, fold_all_agents, fold_except
+
+SHAPES = [(n, a) for n in range(1, 6) for a in range(1, 7)] + [(4, 20)]
+
+
+def stacked_fold_all_agents(tensor, probs):
+    num_agents = tensor.ndim
+    prefixes = [tensor]
+    for j in range(num_agents - 1):
+        prefixes.append(np.tensordot(probs[j], prefixes[-1], axes=([0], [0])))
+    marginals = np.empty((num_agents, tensor.shape[0]), dtype=np.float64)
+    for i in range(num_agents):
+        out = prefixes[i]
+        for j in range(num_agents - 1, i, -1):
+            out = out @ probs[j]
+        marginals[i] = out
+    mean = float(prefixes[-1] @ probs[num_agents - 1])
+    return marginals, mean
+
+
+def stacked_fold_all(tensor, probs):
+    out = tensor
+    for j in range(tensor.ndim - 1, -1, -1):
+        out = out @ probs[j]
+    return float(out)
+
+
+def stacked_fold_except(tensor, probs, keep):
+    out = tensor
+    for j in range(tensor.ndim - 1, keep, -1):
+        out = out @ probs[j]
+    for j in range(keep):
+        out = np.tensordot(probs[j], out, axes=([0], [0]))
+    return np.asarray(out, dtype=np.float64)
+
+
+def policies(rng, num_agents, num_actions):
+    """Random rows at several sharpnesses, then rows with entries near 1e-300 and subnormal."""
+    for scale in (0.3, 1.0, 3.0, 10.0, 30.0):
+        logits = scale * rng.normal(size=(num_agents, num_actions))
+        p = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+        yield p / np.sum(p, axis=1, keepdims=True)
+    for tiny in (1e-300, 3e-305, 1e-310, 5e-324):
+        p = rng.dirichlet(np.ones(num_actions), size=num_agents)
+        small = rng.random((num_agents, num_actions)) < 0.5
+        small[:, 0] = False  # keep one ordinary entry per row
+        yield np.where(small, tiny * rng.random((num_agents, num_actions)), p)
+
+
+def layouts(tensor):
+    """The tensor itself, a Fortran-ordered copy and a strided view of a wider array."""
+    wide = np.zeros(tensor.shape[:-1] + (2 * tensor.shape[-1],))
+    wide[..., ::2] = tensor
+    return [tensor, np.asfortranarray(tensor), wide[..., ::2]]
+
+
+@pytest.mark.parametrize("num_agents,num_actions", SHAPES)
+def test_folds_match_stacked_forms_bit_for_bit(num_agents, num_actions):
+    rng = np.random.default_rng(1000 * num_agents + num_actions)
+    tensor = rng.random((num_actions,) * num_agents)
+    copies = layouts(tensor)
+    if num_actions > 1:
+        assert not copies[2].flags.c_contiguous
+    for p in policies(rng, num_agents, num_actions):
+        probs = list(p)
+        ref_marginals, ref_mean = stacked_fold_all_agents(tensor, probs)
+        ref_all = stacked_fold_all(tensor, probs)
+        ref_except = [stacked_fold_except(tensor, probs, k) for k in range(num_agents)]
+        for copy in copies:
+            marginals, mean = fold_all_agents(copy, probs)
+            assert np.array_equal(marginals, ref_marginals)
+            assert mean == ref_mean
+            assert fold_all(copy, probs) == ref_all
+            for k in range(num_agents):
+                assert np.array_equal(fold_except(copy, probs, k), ref_except[k])

@@ -13,13 +13,14 @@ from inpg.metrics import (
     marginalized_utility,
     ne_gap,
     ne_gap_terms,
+    policy_values,
     qre_gap,
     qre_gap_terms,
     regularized_potential,
     regularized_utility,
 )
 from inpg.oracle import grid_gap, naive_marginal
-from inpg.policy import JointPolicy, entropy, jeffrey, kl, uniform_policy
+from inpg.policy import JointPolicy, entropy, jeffrey, kl, row_entropies, uniform_policy
 
 from conftest import random_policy, random_small_game
 
@@ -197,7 +198,8 @@ class TestQreGap:
             pol = random_policy(rng, game.num_agents, game.num_actions)
             tau = float(rng.uniform(0.05, 2.0))
             r = marginalized_utilities(game, pol)
-            terms = qre_gap_terms(r, pol.log_probs, tau)
+            values = policy_values(r, pol.probs)
+            terms = qre_gap_terms(r, values, row_entropies(pol.log_probs), tau)
             for i in range(game.num_agents):
                 br = best_response(r[i], tau)
                 assert terms[i] == pytest.approx(tau * kl(pol.probs[i], br), abs=1e-10)
@@ -248,7 +250,7 @@ class TestNeGap:
         game = random_small_game(rng)
         pol = random_policy(rng, game.num_agents, game.num_actions)
         r = marginalized_utilities(game, pol)
-        assert np.all(ne_gap_terms(r, pol.probs) >= 0.0)
+        assert np.all(ne_gap_terms(r, policy_values(r, pol.probs)) >= 0.0)
 
 
 class TestMarginalLipschitz:

@@ -3,7 +3,7 @@ import pytest
 
 from inpg.dynamics import npg_step
 from inpg.game import make_general_potential, make_identical_interest
-from inpg.metrics import marginalized_utility, ne_gap_terms, marginalized_utilities
+from inpg.metrics import marginalized_utility, ne_gap_terms, marginalized_utilities, policy_values
 from inpg.oracle import (
     OracleError,
     OracleScaleError,
@@ -15,7 +15,7 @@ from inpg.oracle import (
     grid_gap,
     naive_marginal,
 )
-from inpg.policy import JointPolicy, SoftmaxParams, softmax, uniform_policy
+from inpg.policy import JointPolicy, SoftmaxParams, row_entropies, softmax, uniform_policy
 
 from conftest import random_policy
 
@@ -116,7 +116,7 @@ class TestGridGap:
         game = make_general_potential(2, 2, seed=9)
         pol = random_policy(rng, 2, 2)
         r = marginalized_utilities(game, pol)
-        terms = ne_gap_terms(r, pol.probs)
+        terms = ne_gap_terms(r, policy_values(r, pol.probs))
         for agent in range(2):
             gg = grid_gap(game, agent, pol, tau=0.0, grid_resolution=0.25)
             # linear objective: even a coarse grid nails the vertex maximum
@@ -142,7 +142,8 @@ class TestGridGap:
         pol = random_policy(rng, 2, 3)
         tau = 1.0
         r = marginalized_utilities(game, pol)
-        closed = qre_gap_terms(r, pol.log_probs, tau)[0]
+        values = policy_values(r, pol.probs)
+        closed = qre_gap_terms(r, values, row_entropies(pol.log_probs), tau)[0]
         gg = grid_gap(game, 0, pol, tau=tau, grid_resolution=1e-3)
         assert gg <= closed + 1e-12
         assert closed - gg <= 1e-4

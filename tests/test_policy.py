@@ -30,11 +30,6 @@ def entropy_logs(log_row: np.ndarray) -> float:
     return float(-np.sum(np.exp(log_row) * log_row))
 
 
-def kl_logs(lp: np.ndarray, lq: np.ndarray) -> float:
-    """KL(p || q) from log-probability rows."""
-    return max(float(np.sum(np.exp(lp) * (lp - lq))), 0.0)
-
-
 def total_variation(p_row: np.ndarray, q_row: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.asarray(p_row) - np.asarray(q_row))))
 
@@ -137,8 +132,16 @@ class TestDivergences:
     @given(logits=arrays(np.float64, st.tuples(st.just(2), st.integers(2, 6)),
                          elements=st.floats(-10, 10)))
     def test_kl_nonnegative(self, logits):
-        lp, lq = normalize_logs(logits)
-        assert kl_logs(lp, lq) >= 0.0
+        # policy.kl against an exactly summed p log(p/q), in both directions. Each
+        # reference term is rounded once, so the reference is off the true
+        # divergence by a few ulps of the sum of |terms|.
+        p, q = np.exp(normalize_logs(logits))
+        for a, b in ((p, q), (q, p)):
+            terms = [x * math.log(x / y) for x, y in zip(a.tolist(), b.tolist())]
+            reference = math.fsum(terms)
+            got = kl(a, b)
+            assert got >= 0.0
+            assert abs(got - reference) <= 1e-14 * (1.0 + math.fsum(abs(t) for t in terms))
 
     def test_jeffrey_symmetric(self, rng):
         p = JointPolicy.from_logits(rng.normal(size=(3, 4)))
