@@ -18,6 +18,11 @@ the script exits 1 there; that failure is expected, not a defect of the script.
 `gen4x20` is the shape of the benchmark's general 4x20 workload, where two
 folds of the sweep read the full tensor. `five` runs 5 agents, so most of its
 sweep's folds are the small ones, over tensors of 6^2 to 6^4 entries.
+
+`lock` runs 40 seeds of 2x10 games, which step as one lockstep batch. `split`
+runs 20 seeds of 5x6 games, more than one batch's byte budget holds, so they
+step as batches of 16 and 4. `pgsmall` runs pg_direct on 8 seeds of 2x10
+with two workers, so they step as two batches of 4, one per worker.
 """
 
 import argparse
@@ -45,6 +50,12 @@ COMMANDS = (
     ("gen4x20", ["inpg", "run", "--kind", "general", "--agents", "4", "--actions", "20",
                  "--runs", "1", "--tau", "0.01", "--iters", "1000"]),
     ("five", ["inpg", "run", "--agents", "5", "--actions", "6", "--tau", "0.1", "--iters", "300"]),
+    ("lock", ["inpg", "run", "--agents", "2", "--actions", "10", "--runs", "40", "--tau", "0.1",
+              "--iters", "200"]),
+    ("split", ["inpg", "run", "--agents", "5", "--actions", "6", "--runs", "20", "--tau", "0.1",
+               "--iters", "100"]),
+    ("pgsmall", ["inpg", "run", "--method", "pg_direct", "--agents", "2", "--actions", "10",
+                 "--runs", "8", "--jobs", "2", "--iters", "200"]),
 )
 
 

@@ -10,6 +10,12 @@ Every contraction folds in a fixed order (the last axes from agent N-1 down,
 the first axes from agent 0 up), and a tensor is made C-contiguous before its
 first fold, so results are bit-reproducible for a given input and do not
 depend on the input's memory layout.
+
+`fold_all_agents` sweeps K independent runs at once: tensors and policies
+carry a leading batch axis, and each fold step is one stacked `np.matmul` of
+the K matrix-vector products. numpy hands each slice to the same BLAS
+routine as `ndarray.dot`, so every run's bits equal its solo sweep's; at
+K = 1 the solo kernel runs, because one stacked call costs more per call.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ def _fold_last(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     return tensor.reshape(-1, len(p)).dot(p).reshape(tensor.shape[:-1])
 
 
-def _fold_suffix(tensor: np.ndarray, probs: Sequence[np.ndarray], stop: int) -> np.ndarray:
+def _fold_suffix(tensor: np.ndarray, probs: Sequence[np.ndarray], stop: int,
+                 fold_last=_fold_last) -> np.ndarray:
     """Contract the last axes, agents len(probs)-1 down to stop+1, one at a time."""
     for j in range(len(probs) - 1, stop, -1):
-        tensor = _fold_last(tensor, probs[j])
+        tensor = fold_last(tensor, probs[j])
     return tensor
 
 
@@ -49,20 +56,39 @@ def fold_except(tensor: np.ndarray, probs: Sequence[np.ndarray], keep: int) -> n
     return out
 
 
-def fold_all_agents(tensor: np.ndarray, probs: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
-    """All leave-one-out contractions of a single shared tensor, plus the full expectation.
+def _batch_first(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Contract axis 1 of each run's tensor (K, A, ...) with its row of p (K, A)."""
+    k, a = p.shape
+    return np.matmul(p[:, None, :], tensor.reshape(k, a, -1)).reshape((k,) + tensor.shape[2:])
 
-    Reuses prefix contractions (agents 0..i-1 folded) across agents, so only two
-    folds read the whole tensor: the first prefix and agent 0's first suffix
-    fold. Returns (marginals, mean) where marginals[i] is fold_except(tensor,
-    probs, i) up to rounding.
+
+def _batch_last(tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Contract the last axis of each run's tensor (K, ..., A) with its row of p (K, A)."""
+    k, a = p.shape
+    return np.matmul(tensor.reshape(k, -1, a), p[:, :, None]).reshape(tensor.shape[:-1])
+
+
+def fold_all_agents(tensors: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All leave-one-out contractions of each run's tensor, plus its full expectation.
+
+    tensors: K tensors of one shape stacked on a leading axis; probs: (K, N, A),
+    run k's policy rows. Reuses prefix contractions (agents 0..i-1 folded)
+    across agents, so only two folds read a whole tensor: the first prefix and
+    agent 0's first suffix fold. Returns (marginals, means) of shapes (K, N, A)
+    and (K,), where marginals[k, i] is fold_except(tensors[k], probs[k], i) up
+    to rounding.
     """
-    num_agents = tensor.ndim
+    k, num_agents, _ = probs.shape
+    marginals = np.empty(probs.shape, dtype=np.float64)
+    if k == 1:
+        first, last, tensor = _fold_first, _fold_last, tensors[0]
+        rows, out = list(probs[0]), marginals[0]
+    else:
+        first, last, tensor = _batch_first, _batch_last, tensors
+        rows, out = list(probs.swapaxes(0, 1)), marginals.swapaxes(0, 1)  # indexed by agent
     prefixes = [np.ascontiguousarray(tensor)]
     for j in range(num_agents - 1):
-        prefixes.append(_fold_first(prefixes[-1], probs[j]))
-    marginals = np.empty((num_agents, tensor.shape[0]), dtype=np.float64)
+        prefixes.append(first(prefixes[-1], rows[j]))
     for i in range(num_agents):
-        marginals[i] = _fold_suffix(prefixes[i], probs, i)
-    mean = float(_fold_last(prefixes[-1], probs[num_agents - 1]))
-    return marginals, mean
+        out[i] = _fold_suffix(prefixes[i], rows, i, last)
+    return marginals, last(prefixes[-1], rows[-1]).reshape(k)

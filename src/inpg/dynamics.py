@@ -17,13 +17,17 @@ gaps, the Jeffrey divergence of the step, and running gap averages. With a
 compliant learning rate the regularized potential must rise by at least
 J(step)/(2 eta) every iteration; `run` enforces this for compliant npg runs
 and raises MonotonicityError with full context otherwise.
+
+Runs are independent, so `run` also steps a batch of runs in lockstep: every
+array carries a leading batch axis K, and each numpy call serves all K runs.
+Each run's results are bit-identical to its solo run.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,10 +229,15 @@ def step_update(
     return new_lp, np.exp(new_lp)
 
 
+def _sweep_one(game: PotentialGame, policy: JointPolicy) -> np.ndarray:
+    """The marginals r of one game at one policy, shape (num_agents, num_actions)."""
+    return marginal_sweep(game.potential[None], policy.probs[None])[0][0]
+
+
 def npg_step(game: PotentialGame, policy: JointPolicy, eta: float, tau: float) -> JointPolicy:
     """One simultaneous update of every agent."""
     check_step_params(eta, tau)
-    r, _ = marginal_sweep(game, policy.probs)
+    r = _sweep_one(game, policy)
     return JointPolicy(step_update("npg", policy.log_probs, policy.probs, r, eta, tau)[0])
 
 
@@ -240,7 +249,7 @@ def pg_direct_update_probs(probs: np.ndarray, r: np.ndarray, eta: float) -> np.n
 def pg_direct_step(game: PotentialGame, policy: JointPolicy, eta: float) -> JointPolicy:
     """One projected ascent step of every agent."""
     check_step_params(eta, 0.0)
-    r, _ = marginal_sweep(game, policy.probs)
+    r = _sweep_one(game, policy)
     return JointPolicy(step_update("pg_direct", policy.log_probs, policy.probs, r, eta, 0.0)[0])
 
 
@@ -251,66 +260,159 @@ def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(sums, out=sums)
 
 
-def run(game: PotentialGame, config: RunConfig) -> IterateLog:
+# Rows of a lockstep batch's record block (rows, iterates, runs). Row t of the
+# per-step row belongs to the step that leaves iterate t.
+_PHI_TAU, _NE, _QRE, _JEFFREY = _ROWS = range(4)
+_RECORD_CHUNK = 1024  # iterates a record block holds before it first doubles
+
+
+def lockstep_run_bytes(num_agents: int, num_actions: int, max_iters: int) -> int:
+    """Bytes one run adds to a lockstep batch: its potential and its full record column."""
+    return 8 * num_actions**num_agents + 8 * len(_ROWS) * (max_iters + 1)
+
+
+def run(
+    game: PotentialGame | Sequence[PotentialGame], config: RunConfig | Sequence[RunConfig]
+) -> IterateLog | list[IterateLog | MonotonicityError]:
     """Run the configured dynamic from uniform policies for max_iters steps.
 
     All metrics at an iterate come from one sweep of the potential. When
     improvement_guaranteed holds, every step must satisfy
-    phi_tau[t+1] - phi_tau[t] >= J(step)/(2 eta) - MONOTONICITY_TOL.
+    phi_tau[t+1] - phi_tau[t] >= J(step)/(2 eta) - MONOTONICITY_TOL, and a
+    step that does not raises MonotonicityError.
+
+    Lockstep form: `run(games, configs)` with one config per game, all equal
+    except for `seed`, and games of one shape and one phi_max. It returns one
+    IterateLog, or the MonotonicityError the solo run would raise, per game,
+    and raises for no single run's failure. A run that stops early or fails
+    leaves the batch and the others go on; every result is bit-identical to
+    the solo run's.
 
     The loop records (phi_tau, ne_gap, qre_gap) of every iterate and the
-    Jeffrey divergence of every step; the summary scalars, running averages
-    and logged rows are all derived from that record after the loop. Logged
-    rows: every iterate through 1000, every 10th after, and the last.
+    Jeffrey divergence of every step, 32 bytes per step and run, in a block
+    that grows with the steps taken up to max_iters + 1 iterates
+    (lockstep_run_bytes counts a run's share in full). The summary scalars,
+    running averages and logged rows are all derived from that record after
+    the loop. Logged rows: every iterate through 1000, every 10th after, and
+    the last.
     """
-    eta = config.resolve_eta(game)
+    if isinstance(game, PotentialGame):
+        (out,) = _run_lockstep([game], [config])
+        if isinstance(out, MonotonicityError):
+            raise out
+        return out
+    return _run_lockstep(list(game), list(config))
+
+
+def _record(rec: np.ndarray, t: int, r, phi_mean, lp, probs, tau: float) -> None:
+    """Write iterate t's phi_tau and gaps, one column per run, into the record block.
+
+    Per-step reductions call the ufunc's reduce, the routine ndarray.max and
+    ndarray.sum wrap in Python: same bits, less overhead per call.
+    """
+    values = policy_values(r, probs)  # shared by both gaps
+    best = np.maximum.reduce(r, axis=-1)
+    rec[_NE, t] = np.maximum.reduce(ne_gap_terms(best, values), axis=-1)
+    if tau > 0:
+        h = row_entropies(probs, lp)  # shared by phi_tau and the qre gap
+        rec[_PHI_TAU, t] = phi_mean + tau * np.add.reduce(h, axis=-1)
+        rec[_QRE, t] = np.maximum.reduce(qre_gap_terms(r, best, values, h, tau), axis=-1)
+    else:
+        rec[_PHI_TAU, t] = phi_mean
+
+
+def _run_lockstep(games: Sequence[PotentialGame], configs: Sequence[RunConfig]) -> list:
+    if len(games) != len(configs):
+        raise ValueError(f"{len(games)} games but {len(configs)} configs")
+    if not games:
+        return []
+    head, config = games[0], configs[0]
+    if any(g.joint_shape != head.joint_shape or g.phi_max != head.phi_max for g in games) or any(
+        replace(c, seed=config.seed) != config for c in configs
+    ):
+        raise ValueError("a lockstep batch needs games of one shape and phi_max, "
+                         "and configs equal except for seed")
+    eta = config.resolve_eta(head)
     tau = config.tau
     method = config.method
-    mono_enabled = improvement_guaranteed(method, eta, tau, game.num_agents, game.phi_max)
+    mono_enabled = improvement_guaranteed(method, eta, tau, head.num_agents, head.phi_max)
     track_jeffrey = method != "pg_direct"
+    two_eta = 2.0 * eta
+    stop = config.stop_qre_gap
     nan = float("nan")
 
-    # Flat float64 buffers: a run of 1e5+ steps keeps 8 bytes per value, not a Python object.
-    phi_tau, ne, qre = array("d"), array("d"), array("d")  # one value per iterate
-    jeffrey = array("d")  # one value per step; step t leaves iterate t
-
-    def record(r: np.ndarray, phi_mean: float, lp: np.ndarray, probs: np.ndarray) -> None:
-        values = policy_values(r, probs)  # shared by both gaps
-        ne.append(float(ne_gap_terms(r, values).max()))
-        if tau > 0:
-            h = row_entropies(lp)  # shared by phi_tau and the qre gap
-            phi_tau.append(phi_mean + tau * float(h.sum()))
-            qre.append(float(qre_gap_terms(r, values, h, tau).max()))
-        else:
-            phi_tau.append(phi_mean)
-            qre.append(nan)
-
-    lp = np.full((game.num_agents, game.num_actions), -math.log(game.num_actions))
+    k = len(games)
+    potentials = head.potential[None] if k == 1 else np.stack([g.potential for g in games])
+    lp = np.full((k, head.num_agents, head.num_actions), -math.log(head.num_actions))
     probs = np.exp(lp)
-    r, phi_mean = marginal_sweep(game, probs)
-    record(r, phi_mean, lp, probs)
-    d0 = best_response_log_distance(lp, r, tau) if tau > 0 else nan
+    # Undefined quantities (qre_gap at tau = 0, Jeffrey for pg_direct) stay NaN.
+    rec = np.full((len(_ROWS), min(config.max_iters + 1, _RECORD_CHUNK), k), nan)
+    r, phi_mean = marginal_sweep(potentials, probs)
+    _record(rec, 0, r, phi_mean, lp, probs, tau)
+    d0 = [best_response_log_distance(lp[c], r[c], tau) if tau > 0 else nan for c in range(k)]
+    runs = list(range(k))  # the run in each batch column
+    results: list = [None] * k
 
-    min_slack = math.inf if mono_enabled else nan
-    stopped_early = False
+    def finish(col: int, steps: int, stopped_early: bool) -> None:
+        run_index = runs[col]
+        results[run_index] = _iterate_log(
+            games[run_index], configs[run_index], eta, rec[:, : steps + 1, col], d0[run_index],
+            mono_enabled, stopped_early, lp[col])
+
     for t in range(config.max_iters):
         new_lp, new_probs = step_update(method, lp, probs, r, eta, tau)
-        j = jeffrey_logs(new_lp, lp) if track_jeffrey else nan
-        jeffrey.append(j)
+        if track_jeffrey:
+            rec[_JEFFREY, t] = jeffrey_logs(new_probs, new_lp, probs, lp)
         lp, probs = new_lp, new_probs
-        r, phi_mean = marginal_sweep(game, probs)
-        record(r, phi_mean, lp, probs)
-        if mono_enabled:
-            slack = phi_tau[-1] - phi_tau[-2] - j / (2.0 * eta)
-            min_slack = min(min_slack, slack)
-            if slack < -MONOTONICITY_TOL:
-                raise MonotonicityError(t, phi_tau[-2], phi_tau[-1], j)
-        if config.stop_qre_gap is not None and qre[-1] <= config.stop_qre_gap:  # NaN if tau = 0
-            stopped_early = True
-            break
+        r, phi_mean = marginal_sweep(potentials, probs)
+        if t + 1 == rec.shape[1]:  # grow, never past max_iters + 1 iterates
+            more = min(rec.shape[1], config.max_iters + 1 - rec.shape[1])
+            rec = np.concatenate([rec, np.full((len(_ROWS), more, len(runs)), nan)], axis=1)
+        _record(rec, t + 1, r, phi_mean, lp, probs, tau)
+        leave = None
+        if mono_enabled:  # in Python floats, as cheap as a solo run's check at K = 1
+            (before, after), jeffrey = rec[_PHI_TAU, t : t + 2].tolist(), rec[_JEFFREY, t].tolist()
+            failed = [c for c, j in enumerate(jeffrey)
+                      if after[c] - before[c] - j / two_eta < -MONOTONICITY_TOL]
+            if failed:
+                for c in failed:
+                    results[runs[c]] = MonotonicityError(t, before[c], after[c], jeffrey[c])
+                leave = np.zeros(len(runs), bool)
+                leave[failed] = True
+        if stop is not None and rec[_QRE, t + 1].min() <= stop:  # NaN if tau = 0
+            stopped = rec[_QRE, t + 1] <= stop
+            if leave is not None:
+                stopped &= ~leave  # a failing run reports its failure, as its solo run raises
+            for c in np.flatnonzero(stopped):
+                finish(c, t + 1, True)
+            leave = stopped if leave is None else leave | stopped
+        if leave is not None:
+            keep = ~leave
+            runs = [run_index for run_index, kept in zip(runs, keep) if kept]
+            if not runs:
+                break
+            potentials, lp, probs, r, rec = (
+                potentials[keep], lp[keep], probs[keep], r[keep], rec[:, :, keep])
+    for c in range(len(runs)):
+        finish(c, config.max_iters, False)
+    return results
 
-    phi_tau, ne, qre, jeffrey = (np.frombuffer(c) for c in (phi_tau, ne, qre, jeffrey))
-    steps = len(jeffrey)
+
+def _iterate_log(game: PotentialGame, config: RunConfig, eta: float, rec: np.ndarray, d0: float,
+                 mono_enabled: bool, stopped_early: bool, lp: np.ndarray) -> IterateLog:
+    """One run's IterateLog from its record column rec (rows, iterates 0..T) and final policy."""
+    tau = config.tau
+    track_jeffrey = config.method != "pg_direct"
+    nan = float("nan")
+    steps = rec.shape[1] - 1
+    phi_tau, ne, qre = (np.array(rec[row]) for row in (_PHI_TAU, _NE, _QRE))
+    jeffrey = np.array(rec[_JEFFREY, :steps])
+    min_slack = nan
+    if mono_enabled:
+        # The gate's slack of every step; fmin skips NaN, as a running
+        # min(min_slack, slack) from +inf does.
+        slack = phi_tau[1:] - phi_tau[:-1] - jeffrey / (2.0 * eta)
+        min_slack = float(np.fmin.reduce(slack, initial=math.inf))
     iters = np.arange(steps + 1)
     iters = iters[(iters <= 1000) | (iters % 10 == 0) | (iters == steps)]
     # Running sums over iterates 1..t. A quantity this method leaves undefined is
@@ -321,7 +423,7 @@ def run(game: PotentialGame, config: RunConfig) -> IterateLog:
     jeffrey_rows = np.full(len(iters), no_step)
     jeffrey_rows[:-1] = jeffrey[iters[:-1]]
     return IterateLog(
-        method=method,
+        method=config.method,
         tau=tau,
         eta=eta,
         seed=config.seed,

@@ -34,6 +34,7 @@ from .dynamics import (
     improvement_guaranteed,
     initial_distance_bound_sides,
     jeffrey_sum_sides,
+    lockstep_run_bytes,
     predicted_iterations,
     run,
     theorem_average_gap_sides,
@@ -251,29 +252,75 @@ class GameSpec:
         return load_game(self.path)
 
 
-def _execute_one(task: tuple[GameSpec, RunConfig, str]) -> tuple[str, dict | None, str | None]:
-    """Worker: run one config, write its CSV, meta, and final policy; returns (basename, meta, error)."""
-    spec, config, out_dir = task
-    base = run_basename(config.method, config.tau, config.seed)
-    game = spec.build()
-    try:
-        log = run(game, config)
-    except MonotonicityError as exc:
-        return base, None, str(exc)
-    write_run_csv(log, os.path.join(out_dir, base + ".csv"))
-    write_run_meta(log, os.path.join(out_dir, base + ".meta.json"))
-    policy_to_csv(log.final_policy, os.path.join(out_dir, base + ".policy.csv"))
-    return base, meta_from_log(log), None
+# Most bytes one lockstep batch may hold: its stacked potentials, which the
+# sweep reads every step, and its record block (dynamics.lockstep_run_bytes),
+# so a batch of long runs cannot grow without bound. Half of a core's 2 MiB L2,
+# so the stack and the sweep's prefix tensors stay in cache. On a 2-core Xeon
+# at one BLAS thread, 200-step batches up to the budget beat the same runs alone
+# (5x6 at K=15 in 0.19 of the time, 3x30 at K=4 in 0.50, 4x15 and 6x6 at K=2
+# in 0.75 and 0.78), and two stacked 4x20 games (2.6 MB) took 1.13 times as long.
+LOCKSTEP_BYTES = 1 << 20
+
+Task = tuple[GameSpec, RunConfig, str]
 
 
-def execute_runs(
-    tasks: list[tuple[GameSpec, RunConfig, str]], jobs: int = 1
-) -> list[tuple[str, dict | None, str | None]]:
-    """Run tasks (optionally in parallel); output files are per-task, order-independent."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_execute_one(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_execute_one, tasks))
+def lockstep_batches(tasks: list[Task], jobs: int = 1) -> list[list[Task]]:
+    """Split tasks, in order, into runs that can step in lockstep.
+
+    A task joins the batch before it when both write to one directory, their
+    configs are equal except for `seed`, their games are generated by one
+    generator at one (N, A), the batch's bytes stay within LOCKSTEP_BYTES, and
+    the batch holds at most ceil(len(tasks) / jobs) tasks, so that every
+    worker gets a batch. File games run alone: their shape is known only after
+    loading. Each run's output is the same in any batch.
+    """
+    most = -(-len(tasks) // max(jobs, 1))
+    batches: list[list[Task]] = []
+    for task in tasks:
+        spec, config, out_dir = task
+        if batches and len(batches[-1]) < most:
+            head_spec, head_config, head_dir = batches[-1][0]
+            if (spec.source != "file" and out_dir == head_dir
+                    and (spec.source, spec.num_agents, spec.num_actions)
+                    == (head_spec.source, head_spec.num_agents, head_spec.num_actions)
+                    and replace(config, seed=head_config.seed) == head_config
+                    and (len(batches[-1]) + 1) * lockstep_run_bytes(
+                        spec.num_agents, spec.num_actions, config.max_iters) <= LOCKSTEP_BYTES):
+                batches[-1].append(task)
+                continue
+        batches.append([task])
+    return batches
+
+
+def _execute_batch(batch: list[Task]) -> list[tuple[str, dict | None, str | None]]:
+    """Worker: run one lockstep batch, write each run's CSV, meta, and final policy.
+
+    Returns (basename, meta, error) per task, in order.
+    """
+    games = [spec.build() for spec, _, _ in batch]
+    logs = run(games, [config for _, config, _ in batch])
+    results = []
+    for (_, config, out_dir), log in zip(batch, logs):
+        base = run_basename(config.method, config.tau, config.seed)
+        if isinstance(log, MonotonicityError):
+            results.append((base, None, str(log)))
+            continue
+        write_run_csv(log, os.path.join(out_dir, base + ".csv"))
+        write_run_meta(log, os.path.join(out_dir, base + ".meta.json"))
+        policy_to_csv(log.final_policy, os.path.join(out_dir, base + ".policy.csv"))
+        results.append((base, meta_from_log(log), None))
+    return results
+
+
+def execute_runs(tasks: list[Task], jobs: int = 1) -> list[tuple[str, dict | None, str | None]]:
+    """Run tasks in lockstep batches (optionally in parallel); output files are per-task."""
+    batches = lockstep_batches(tasks, jobs)
+    if jobs <= 1 or len(batches) <= 1:
+        done = [_execute_batch(batch) for batch in batches]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_execute_batch, batches))
+    return [result for results in done for result in results]
 
 
 def aggregate_csvs(csv_paths: list[str], out_path: str) -> None:

@@ -25,15 +25,16 @@ def marginalized_utility(game: PotentialGame, agent: int, policy: JointPolicy) -
     return _contract.fold_except(game.utility(agent), list(policy.probs), agent)
 
 
-def marginal_sweep(game: PotentialGame, probs_rows) -> tuple[np.ndarray, float]:
-    """Every agent's potential marginal plus the expected potential, in one sweep.
+def marginal_sweep(potentials: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's potential marginal plus the expected potential, in one sweep per run.
 
-    probs_rows: per-agent probability vectors. Returns (r, phi_mean). Row i of r
-    is Phi with every agent but i integrated out: in a potential game it differs
-    from agent i's marginalized utility by a constant, which the updates, the
-    simplex projection and both gaps ignore.
+    potentials: K potentials of one shape stacked on a leading axis; probs:
+    (K, N, A) policy rows. Returns (r, phi_mean) of shapes (K, N, A) and (K,).
+    Row r[k, i] is run k's Phi with every agent but i integrated out: in a
+    potential game it differs from agent i's marginalized utility by a
+    constant, which the updates, the simplex projection and both gaps ignore.
     """
-    return _contract.fold_all_agents(game.potential, list(probs_rows))
+    return _contract.fold_all_agents(potentials, probs)
 
 
 def marginalized_utilities(game: PotentialGame, policy: JointPolicy) -> np.ndarray:
@@ -68,7 +69,7 @@ def regularized_utility(game: PotentialGame, agent: int, policy: JointPolicy, ta
     """u_i(pi) + tau * H(pi_i)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    h = row_entropies(policy.log_probs[agent : agent + 1])[0]
+    h = row_entropies(policy.probs[agent], policy.log_probs[agent])
     return expected_utility(game, agent, policy) + tau * float(h)
 
 
@@ -76,47 +77,51 @@ def regularized_potential(game: PotentialGame, policy: JointPolicy, tau: float) 
     """Phi(pi) + tau * sum_i H(pi_i)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return expected_potential(game, policy) + tau * float(np.sum(row_entropies(policy.log_probs)))
+    h = row_entropies(policy.probs, policy.log_probs)
+    return expected_potential(game, policy) + tau * float(np.sum(h))
 
 
 def policy_values(r: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Per-agent <r_i, pi_i>: each agent's expected marginal under its own policy."""
-    return (r * probs).sum(axis=-1)
+    return np.add.reduce(r * probs, axis=-1)
 
 
-def ne_gap_terms(r: np.ndarray, values: np.ndarray) -> np.ndarray:
+def ne_gap_terms(best: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per-agent unregularized improvement: max_a r_i(a) - <r_i, pi_i>. Clamped at 0.
 
-    values: policy_values(r, probs).
+    best: r.max(axis=-1); values: policy_values(r, probs).
     """
-    return np.maximum(r.max(axis=-1) - values, 0.0)
+    return np.maximum(best - values, 0.0)
 
 
-def qre_gap_terms(r: np.ndarray, values: np.ndarray, entropies: np.ndarray, tau: float) -> np.ndarray:
+def qre_gap_terms(
+    r: np.ndarray, best: np.ndarray, values: np.ndarray, entropies: np.ndarray, tau: float
+) -> np.ndarray:
     """Per-agent regularized improvement: tau*LSE(r_i/tau) - <r_i, pi_i> - tau*H(pi_i).
 
-    values: policy_values(r, probs); entropies: row_entropies(log_probs). Equals
+    best: r.max(axis=-1), the shift of the log-sum-exp; values: policy_values(r,
+    probs); entropies: row_entropies(probs, log_probs). Equals
     tau * KL(pi_i || best_response(r_i, tau)). Clamped at 0 against rounding in
     the cancellation near a fixed point.
     """
     if tau <= 0:
         raise ValueError("qre_gap requires tau > 0")
-    m = r.max(axis=-1, keepdims=True)
-    soft_max = m[:, 0] + tau * np.log(np.exp((r - m) / tau).sum(axis=-1))
+    soft_max = best + tau * np.log(np.add.reduce(np.exp((r - best[..., None]) / tau), axis=-1))
     return np.maximum(soft_max - (values + tau * entropies), 0.0)
 
 
 def ne_gap(game: PotentialGame, policy: JointPolicy) -> float:
     """Largest utility any agent can gain by a unilateral deviation; 0 exactly at an NE."""
     r = marginalized_utilities(game, policy)
-    return float(np.max(ne_gap_terms(r, policy_values(r, policy.probs))))
+    return float(np.max(ne_gap_terms(r.max(axis=-1), policy_values(r, policy.probs))))
 
 
 def qre_gap(game: PotentialGame, policy: JointPolicy, tau: float) -> float:
     """Largest regularized-utility gain available to any agent; 0 exactly at the QRE."""
     r = marginalized_utilities(game, policy)
-    values = policy_values(r, policy.probs)
-    return float(np.max(qre_gap_terms(r, values, row_entropies(policy.log_probs), tau)))
+    probs = policy.probs
+    h = row_entropies(probs, policy.log_probs)
+    return float(np.max(qre_gap_terms(r, r.max(axis=-1), policy_values(r, probs), h, tau)))
 
 
 def best_response_log_distance(log_probs: np.ndarray, r: np.ndarray, tau: float) -> float:

@@ -22,8 +22,8 @@ _NORMALIZATION_TOL = 1e-12
 
 def logsumexp(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     """Max-shifted log(sum(exp(x))) along an axis."""
-    m = x.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    out = m + np.log(np.add.reduce(np.exp(x - m), axis=axis, keepdims=True))
     return out if keepdims else out.squeeze(axis=axis)
 
 
@@ -104,9 +104,12 @@ def entropy(row: np.ndarray) -> float:
     return float(-np.sum(terms))
 
 
-def row_entropies(log_probs: np.ndarray) -> np.ndarray:
-    """Per-agent entropies of a (num_agents, num_actions) log-probability array."""
-    return -(np.exp(log_probs) * log_probs).sum(axis=-1)
+def row_entropies(probs: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+    """Entropy of each row of a policy given as its probabilities and their logs.
+
+    probs must be np.exp(log_probs): the caller holds both, so neither is recomputed.
+    """
+    return -np.add.reduce(probs * log_probs, axis=-1)
 
 
 def kl(p_row: np.ndarray, q_row: np.ndarray) -> float:
@@ -121,36 +124,40 @@ def kl(p_row: np.ndarray, q_row: np.ndarray) -> float:
     return max(float(np.sum(q[mask] * ((1.0 + d) * np.log1p(d) - d)) + np.sum(q[~mask])), 0.0)
 
 
-def jeffrey_logs(lp: np.ndarray, lq: np.ndarray) -> float:
-    """Symmetrized KL summed over all rows of two log-probability arrays.
+def jeffrey_logs(p: np.ndarray, lp: np.ndarray, q: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """Symmetrized KL summed over the last two axes (agents, actions) of two policies.
 
-    Computed elementwise as (p - q)(log p - log q) >= 0, so rounding can never
-    make the result negative.
+    p and q are the probabilities, lp and lq their logs (p must be np.exp(lp)
+    and q np.exp(lq)); leading axes index independent runs. Computed
+    elementwise as (p - q)(log p - log q) >= 0, so rounding can never make the
+    result negative.
     """
-    return float(((np.exp(lp) - np.exp(lq)) * (lp - lq)).sum())
+    return np.add.reduce((p - q) * (lp - lq), axis=(-2, -1))
 
 
 def jeffrey(p: JointPolicy, q: JointPolicy) -> float:
     """Jeffrey divergence of two product policies: sum_i [KL(p_i||q_i) + KL(q_i||p_i)]."""
     if p.log_probs.shape != q.log_probs.shape:
         raise ValueError("policies have different shapes")
-    return jeffrey_logs(p.log_probs, q.log_probs)
+    return float(jeffrey_logs(p.probs, p.log_probs, q.probs, q.log_probs))
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of v onto the probability simplex.
+    """Euclidean projection of each row (last axis) of v onto the probability simplex.
 
     Sort-based algorithm: with u = sorted(v) descending and c_k = (sum_{j<=k} u_j - 1)/k,
     the threshold is c_rho for the largest rho with u_rho > c_rho, and the projection
     is max(v - c_rho, 0). Exact up to floating point; output rows can contain zeros.
+    A 1-D v is one row and gives a (1, n) result.
     """
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    n = v.shape[1]
-    u = np.sort(v, axis=1)[:, ::-1]
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[1]
+    u = np.sort(rows, axis=1)[:, ::-1]
     cssv = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, n + 1)
-    rho = np.count_nonzero(u > cssv, axis=1)
-    theta = cssv[np.arange(v.shape[0]), rho - 1]
-    return np.maximum(v - theta[:, None], 0.0)
+    rho = np.add.reduce(u > cssv, axis=1, dtype=np.intp)  # count_nonzero, without its wrapper
+    theta = cssv[np.arange(rows.shape[0]), rho - 1]
+    return np.maximum(rows - theta[:, None], 0.0).reshape(v.shape)
 
 
 def policy_to_csv(policy: JointPolicy, path_or_file) -> None:

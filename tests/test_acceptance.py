@@ -203,7 +203,8 @@ def test_criterion_6_brute_force_equivalence():
         tau = float(rng.uniform(0.5, 1.0))
         r_all = marginalized_utilities(game, pol)
         values = policy_values(r_all, pol.probs)
-        terms = qre_gap_terms(r_all, values, row_entropies(pol.log_probs), tau)
+        h = row_entropies(pol.probs, pol.log_probs)
+        terms = qre_gap_terms(r_all, r_all.max(axis=-1), values, h, tau)
         for i in range(2):
             diff = terms[i] - grid_gap(game, i, pol, tau, grid_resolution=1e-4)
             assert -1e-10 <= diff <= 1e-6  # grid search may undershoot by the spacing slack

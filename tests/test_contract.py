@@ -5,6 +5,9 @@ numpy's stacked N-D `@` and `np.tensordot`. The rewrite changed only the
 layout of each fold, so every marginal, mean and expectation must be equal,
 not close. The references are evaluated on a C-contiguous tensor; the kernels
 must also give those bits for a non-contiguous copy of it.
+
+`fold_all_agents` also sweeps a batch of runs through stacked matmuls; each
+run of a batch must get the bits of its own sweep as a batch of one.
 """
 
 import numpy as np
@@ -79,9 +82,28 @@ def test_folds_match_stacked_forms_bit_for_bit(num_agents, num_actions):
         ref_all = stacked_fold_all(tensor, probs)
         ref_except = [stacked_fold_except(tensor, probs, k) for k in range(num_agents)]
         for copy in copies:
-            marginals, mean = fold_all_agents(copy, probs)
-            assert np.array_equal(marginals, ref_marginals)
-            assert mean == ref_mean
+            marginals, mean = fold_all_agents(copy[None], p[None])
+            assert np.array_equal(marginals[0], ref_marginals)
+            assert mean[0] == ref_mean
             assert fold_all(copy, probs) == ref_all
             for k in range(num_agents):
                 assert np.array_equal(fold_except(copy, probs, k), ref_except[k])
+
+
+BATCHES = [(n, a, k) for n, a in [(1, 3), (2, 10), (3, 4), (5, 6)] for k in (2, 7, 40)]
+
+
+@pytest.mark.parametrize("num_agents,num_actions,batch", BATCHES + [(4, 20, 2)])
+def test_batched_sweep_matches_each_run_alone(num_agents, num_actions, batch):
+    rng = np.random.default_rng(100 * batch + 10 * num_agents + num_actions)
+    tensors = rng.random((batch,) + (num_actions,) * num_agents)
+    # Every run gets one row set of each kind, so tiny and subnormal rows meet ordinary ones.
+    kinds = [list(policies(rng, num_agents, num_actions)) for _ in range(batch)]
+    for shift in range(len(kinds[0])):
+        probs = np.stack([kinds[k][(k + shift) % len(kinds[k])] for k in range(batch)])
+        marginals, means = fold_all_agents(tensors, probs)
+        assert marginals.shape == (batch, num_agents, num_actions) and means.shape == (batch,)
+        for k in range(batch):
+            solo_marginals, solo_mean = fold_all_agents(tensors[k : k + 1], probs[k : k + 1])
+            assert np.array_equal(marginals[k], solo_marginals[0])
+            assert means[k] == solo_mean[0]

@@ -290,9 +290,9 @@ def test_runtime_monotone_gate_raises(monkeypatch):
     game = PotentialGame(num_agents=2, num_actions=2, potential=phi,
                          dummies=(), phi_max=1.0)
 
-    def descending_sweep(game, probs_rows):
-        r, _ = fold_all_agents(1.0 - game.potential, list(probs_rows))
-        return r, fold_all_agents(game.potential, list(probs_rows))[1]
+    def descending_sweep(potentials, probs):
+        r, _ = fold_all_agents(1.0 - potentials, probs)
+        return r, fold_all_agents(potentials, probs)[1]
 
     monkeypatch.setattr(dynamics, "marginal_sweep", descending_sweep)
     with pytest.raises(MonotonicityError) as info:
@@ -309,10 +309,10 @@ def test_potential_sweep_matches_utility_sweep_trajectories(monkeypatch, method,
     config = RunConfig(method=method, tau=tau, max_iters=300)
     log = run(game, config)
 
-    def utility_sweep(game, probs_rows):
-        probs = list(probs_rows)
-        r = np.stack([fold_except(u, probs, i) for i, u in enumerate(game.utilities)])
-        return r, fold_all(game.potential, probs)
+    def utility_sweep(potentials, probs):
+        rows = list(probs[0])
+        r = np.stack([fold_except(u, rows, i) for i, u in enumerate(game.utilities)])
+        return r[None], np.array([fold_all(potentials[0], rows)])
 
     monkeypatch.setattr(dynamics, "marginal_sweep", utility_sweep)
     reference = run(game, config)

@@ -1,27 +1,32 @@
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from inpg.cli import main as cli_main
-from inpg.dynamics import RunConfig, RunSummary, run
+from inpg.dynamics import RunConfig, RunSummary, lockstep_run_bytes, run
 from inpg.game import PotentialGame, make_general_potential, make_identical_interest, save_game
 from inpg.harness import (
     CSV_COLUMNS,
     CSV_HEADER,
+    LOCKSTEP_BYTES,
     GameSpec,
+    agg_basename,
     aggregate_csvs,
     audit_directory,
     check_monotone,
     check_sandwich,
     check_theorem1,
+    execute_runs,
+    lockstep_batches,
     meta_from_log,
     plot_directory,
     read_csv_columns,
     read_run_meta,
+    run_basename,
     run_experiment,
     seeded_game_specs,
     write_run_csv,
@@ -186,6 +191,63 @@ class TestExperiment:
         assert len(outputs["memory"]) == 4  # run CSV, meta, policy and aggregate
         assert outputs["v2"] == outputs["memory"]
         assert outputs["v1"] == outputs["memory"]
+
+
+class TestLockstepBatches:
+    def test_batches_split_at_the_byte_budget(self):
+        specs = seeded_game_specs("identical", 5, 6, base_seed=1, runs=20)
+        config = RunConfig(method="npg", tau=0.1, max_iters=100)
+        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
+        assert LOCKSTEP_BYTES // lockstep_run_bytes(5, 6, 100) == 16
+        assert [len(b) for b in lockstep_batches(tasks)] == [16, 4]
+
+    @pytest.mark.parametrize("iters,sizes", [(200, [40]), (1000, [31, 9]), (100_000, [1] * 40)])
+    def test_long_runs_share_the_budget_with_their_records(self, iters, sizes):
+        # A run's record column (32 B per iterate) counts against the budget, so
+        # a batch of long runs holds fewer runs and never more than the budget.
+        specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40)
+        config = RunConfig(method="npg", tau=0.1, max_iters=iters)
+        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
+        assert [len(b) for b in lockstep_batches(tasks)] == sizes
+        shared = [k for k in sizes if k > 1]  # one run alone may exceed the budget
+        assert all(k * lockstep_run_bytes(2, 10, iters) <= LOCKSTEP_BYTES for k in shared)
+
+    @pytest.mark.parametrize("jobs,sizes", [(1, [40]), (2, [20, 20]), (3, [14, 14, 12])])
+    def test_every_worker_gets_a_batch(self, jobs, sizes):
+        specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40)
+        config = RunConfig(method="npg", tau=0.1, max_iters=200)
+        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
+        assert [len(b) for b in lockstep_batches(tasks, jobs)] == sizes
+
+    def test_only_runs_of_one_variant_and_shape_share_a_batch(self):
+        config = RunConfig(method="npg", tau=0.1, max_iters=10)
+        small = seeded_game_specs("identical", 2, 10, base_seed=1, runs=3)
+        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in small]
+        tasks += [(spec, replace(config, seed=spec.seed, tau=0.2), "out") for spec in small]
+        tasks += [(GameSpec(source="general", num_agents=2, num_actions=10, seed=9), config, "out")]
+        tasks += [(GameSpec(source="file", path="g.pg", seed=s), config, "out") for s in (1, 2)]
+        big = seeded_game_specs("identical", 4, 20, base_seed=1, runs=2)  # 1.28 MB each
+        tasks += [(spec, replace(config, seed=spec.seed), "out") for spec in big]
+        assert [len(b) for b in lockstep_batches(tasks)] == [3, 3, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batched_files_equal_runs_alone(self, tmp_path, jobs):
+        variants = [RunConfig(method="npg", tau=0.1, max_iters=30),
+                    RunConfig(method="pg_direct", max_iters=30)]
+        specs = seeded_game_specs("identical", 5, 6, base_seed=3, runs=20)
+        batched, alone = tmp_path / "batched", tmp_path / "alone"
+        run_experiment(str(batched), specs, variants, jobs=jobs)
+        alone.mkdir()
+        for variant in variants:
+            for spec in specs:
+                (result,) = execute_runs([(spec, replace(variant, seed=spec.seed), str(alone))])
+                assert result[2] is None
+            csvs = [str(alone / (run_basename(variant.method, variant.tau, spec.seed) + ".csv"))
+                    for spec in specs]
+            aggregate_csvs(csvs, str(alone / (agg_basename(variant.method, variant.tau) + ".csv")))
+        files = {f.name: f.read_bytes() for f in sorted(batched.iterdir())}
+        assert len(files) == 2 * (3 * 20 + 1)  # three files per run, one aggregate per variant
+        assert files == {f.name: f.read_bytes() for f in sorted(alone.iterdir())}
 
 
 class TestPlot:

@@ -1,0 +1,164 @@
+"""Lockstep runs against solo runs: every field of every run must match bit for bit.
+
+`run(games, configs)` steps a batch of runs with one numpy call per operation
+for the whole batch. Each run's IterateLog (or MonotonicityError) must equal
+the one `run(game, config)` gives for that run alone.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from inpg import dynamics
+from inpg.dynamics import IterateLog, MonotonicityError, RunConfig, run
+from inpg.game import PotentialGame, make_general_potential, make_identical_interest
+
+METHODS = [("npg", 0.1), ("mwu", 0.0), ("pg_direct", 0.0)]
+SHAPES = [("identical", 1, 3), ("identical", 2, 10), ("general", 3, 4), ("identical", 5, 6)]
+
+
+def make(kind, agents, actions, seed):
+    maker = make_identical_interest if kind == "identical" else make_general_potential
+    return maker(agents, actions, seed)
+
+
+def fields_of(log: IterateLog) -> dict:
+    """Every field as bytes (or text), so NaN and -0.0 compare by their bits."""
+    out = {}
+    for f in dataclasses.fields(log):
+        value = getattr(log, f.name)
+        if f.name == "final_policy":
+            value = value.log_probs
+        out[f.name] = value if isinstance(value, str) else np.asarray(value).tobytes()
+    return out
+
+
+def assert_same_as_solo(games, configs, results):
+    assert len(results) == len(games)
+    for game, config, got in zip(games, configs, results):
+        try:
+            solo = run(game, config)
+        except MonotonicityError as exc:
+            assert isinstance(got, MonotonicityError)
+            assert (got.t, got.phi_tau_t, got.phi_tau_next, got.jeffrey_step) == (
+                exc.t, exc.phi_tau_t, exc.phi_tau_next, exc.jeffrey_step)
+            continue
+        assert isinstance(got, IterateLog)
+        assert fields_of(got) == fields_of(solo)
+
+
+def batch(kind, agents, actions, k, **config):
+    games = [make(kind, agents, actions, 11 + s) for s in range(k)]
+    configs = [RunConfig(seed=11 + s, **config) for s in range(k)]
+    return games, configs
+
+
+@pytest.mark.parametrize("k", [2, 7, 40])
+@pytest.mark.parametrize("kind,agents,actions", SHAPES)
+@pytest.mark.parametrize("method,tau", METHODS)
+def test_batch_matches_solo_runs(method, tau, kind, agents, actions, k):
+    games, configs = batch(kind, agents, actions, k, method=method, tau=tau, max_iters=40)
+    assert_same_as_solo(games, configs, run(games, configs))
+
+
+def test_record_block_grows_past_its_first_chunk():
+    steps = dynamics._RECORD_CHUNK + 300
+    games, configs = batch("identical", 2, 3, 3, method="npg", tau=0.05, max_iters=steps)
+    results = run(games, configs)
+    assert all(log.num_steps == steps for log in results)
+    assert_same_as_solo(games, configs, results)
+
+
+def test_record_block_stops_growing_at_max_iters():
+    # One iterate past the first chunk adds one iterate to the block, not a
+    # second chunk: at K = 40 a doubled block would hold 1.3 MB more.
+    peaks = []
+    for steps in (dynamics._RECORD_CHUNK - 1, dynamics._RECORD_CHUNK):
+        games, configs = batch("identical", 2, 3, 40, method="mwu", tau=0.0, max_iters=steps)
+        tracemalloc.start()
+        try:
+            run(games, configs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**19
+
+
+def test_zero_steps():
+    for method, tau in METHODS:
+        games, configs = batch("identical", 2, 5, 3, method=method, tau=tau, max_iters=0)
+        assert_same_as_solo(games, configs, run(games, configs))
+
+
+def test_runs_that_stop_early_leave_the_batch():
+    games, configs = batch("general", 3, 4, 7, method="npg", tau=0.1, max_iters=5000,
+                           stop_qre_gap=1e-6)
+    results = run(games, configs)
+    assert all(log.stopped_early for log in results)
+    assert len({log.num_steps for log in results}) > 1  # they leave at different steps
+    assert_same_as_solo(games, configs, results)
+
+
+def test_a_failing_run_leaves_the_batch_and_the_others_go_on(monkeypatch):
+    # As in test_runtime_monotone_gate_raises: one game's sweep returns the marginals
+    # of 1 - Phi (with the true expected potential), so ascent lowers its potential.
+    bad = PotentialGame(num_agents=2, num_actions=2, potential=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                        dummies=(), phi_max=1.0)
+    real_sweep = dynamics.marginal_sweep
+
+    def sweep(potentials, probs):
+        r, phi = real_sweep(potentials, probs)
+        for c, potential in enumerate(potentials):
+            if np.array_equal(potential, bad.potential):
+                r[c] = real_sweep(1.0 - potential[None], probs[c : c + 1])[0][0]
+        return r, phi
+
+    monkeypatch.setattr(dynamics, "marginal_sweep", sweep)
+    games = [make_identical_interest(2, 2, s) for s in range(3)]
+    games.insert(1, bad)
+    configs = [RunConfig(method="npg", tau=0.1, max_iters=50, seed=s) for s in range(4)]
+    results = run(games, configs)
+    assert isinstance(results[1], MonotonicityError) and results[1].t == 0
+    assert all(isinstance(results[c], IterateLog) for c in (0, 2, 3))
+    assert_same_as_solo(games, configs, results)
+    with pytest.raises(MonotonicityError):
+        run(bad, configs[1])  # the solo form still raises
+
+
+def test_a_huge_budget_allocates_only_for_the_steps_taken():
+    games, configs = batch("identical", 2, 4, 3, method="npg", tau=0.5, max_iters=10**8,
+                           stop_qre_gap=1e-6)
+    tracemalloc.start()
+    try:
+        results = run(games, configs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(log.stopped_early and log.num_steps < 1000 for log in results)
+    assert peak < 2**20  # a record sized by max_iters would take 12 GB
+    assert_same_as_solo(games, configs, results)
+
+
+def test_batch_needs_one_variant_and_one_shape():
+    games, configs = batch("identical", 2, 3, 2, method="npg", tau=0.1, max_iters=5)
+    with pytest.raises(ValueError):
+        run(games, [configs[0], dataclasses.replace(configs[1], tau=0.2)])
+    with pytest.raises(ValueError):
+        run([games[0], make_identical_interest(2, 4, 1)], configs)
+    with pytest.raises(ValueError):
+        run(games, configs[:1])
+    assert run([], []) == []
+
+
+@pytest.mark.parametrize("stop", [None, 1e-5])
+def test_min_slack_is_the_least_per_step_slack(stop):
+    # The slack is derived from the record after the loop; it must cover every
+    # step, up to the last one of a run that leaves the batch early.
+    games, configs = batch("identical", 3, 5, 4, method="npg", tau=0.2, max_iters=900,
+                           stop_qre_gap=stop)
+    for log in run(games, configs):
+        assert log.stopped_early == (stop is not None)
+        slack = log.phi_tau[1:] - log.phi_tau[:-1] - log.jeffrey_step[:-1] / (2.0 * log.eta)
+        assert log.min_monotonicity_slack == slack.min()

@@ -66,7 +66,8 @@ class TestMarginalizedUtility:
             for a in range(2, 6):
                 game = make_general_potential(n, a, seed=int(rng.integers(0, 2**31)))
                 pol = random_policy(rng, n, a)
-                shift = marginal_sweep(game, pol.probs)[0] - marginalized_utilities(game, pol)
+                r = marginal_sweep(game.potential[None], pol.probs[None])[0][0]
+                shift = r - marginalized_utilities(game, pol)
                 assert np.max(np.ptp(shift, axis=1)) <= 1e-13
 
     def test_entries_in_unit_interval(self, rng):
@@ -79,8 +80,8 @@ class TestMarginalizedUtility:
 
         game = random_small_game(rng)
         pol = random_policy(rng, game.num_agents, game.num_actions)
-        _, phi = marginal_sweep(game, pol.probs)
-        assert phi == pytest.approx(expected_potential(game, pol), abs=1e-13)
+        _, phi = marginal_sweep(game.potential[None], pol.probs[None])
+        assert phi[0] == pytest.approx(expected_potential(game, pol), abs=1e-13)
 
 
 class TestBestResponse:
@@ -199,7 +200,8 @@ class TestQreGap:
             tau = float(rng.uniform(0.05, 2.0))
             r = marginalized_utilities(game, pol)
             values = policy_values(r, pol.probs)
-            terms = qre_gap_terms(r, values, row_entropies(pol.log_probs), tau)
+            h = row_entropies(pol.probs, pol.log_probs)
+            terms = qre_gap_terms(r, r.max(axis=-1), values, h, tau)
             for i in range(game.num_agents):
                 br = best_response(r[i], tau)
                 assert terms[i] == pytest.approx(tau * kl(pol.probs[i], br), abs=1e-10)
@@ -250,7 +252,7 @@ class TestNeGap:
         game = random_small_game(rng)
         pol = random_policy(rng, game.num_agents, game.num_actions)
         r = marginalized_utilities(game, pol)
-        assert np.all(ne_gap_terms(r, policy_values(r, pol.probs)) >= 0.0)
+        assert np.all(ne_gap_terms(r.max(axis=-1), policy_values(r, pol.probs)) >= 0.0)
 
 
 class TestMarginalLipschitz:

@@ -116,7 +116,7 @@ class TestGridGap:
         game = make_general_potential(2, 2, seed=9)
         pol = random_policy(rng, 2, 2)
         r = marginalized_utilities(game, pol)
-        terms = ne_gap_terms(r, policy_values(r, pol.probs))
+        terms = ne_gap_terms(r.max(axis=-1), policy_values(r, pol.probs))
         for agent in range(2):
             gg = grid_gap(game, agent, pol, tau=0.0, grid_resolution=0.25)
             # linear objective: even a coarse grid nails the vertex maximum
@@ -143,7 +143,8 @@ class TestGridGap:
         tau = 1.0
         r = marginalized_utilities(game, pol)
         values = policy_values(r, pol.probs)
-        closed = qre_gap_terms(r, values, row_entropies(pol.log_probs), tau)[0]
+        h = row_entropies(pol.probs, pol.log_probs)
+        closed = qre_gap_terms(r, r.max(axis=-1), values, h, tau)[0]
         gg = grid_gap(game, 0, pol, tau=tau, grid_resolution=1e-3)
         assert gg <= closed + 1e-12
         assert closed - gg <= 1e-4
