@@ -328,3 +328,19 @@ class TestMonotonicityError:
         assert err.phi_tau_t == 0.25 and err.phi_tau_next == 0.24
         assert err.jeffrey_step == 0.001
         assert "t=5" in str(err)
+
+
+def test_sweep_cut_keeps_every_bit(monkeypatch):
+    # Under tau = 1e-4 this run drives probabilities into the subnormal range from
+    # about step 3,800, so the cut drops terms from the sweep on the later steps.
+    game = make_identical_interest(4, 20, 12)
+    config = RunConfig(method="npg", tau=1e-4, max_iters=5000, seed=12)
+    cut = run(game, config)
+    assert np.exp(cut.final_policy.log_probs).min() < dynamics.SWEEP_PROB_CUT
+    monkeypatch.setattr(dynamics, "SWEEP_PROB_CUT", 0.0)
+    whole = run(game, config)
+    for name in vars(cut):
+        a, b = getattr(cut, name), getattr(whole, name)
+        if name == "final_policy":
+            a, b = a.log_probs, b.log_probs
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
