@@ -18,9 +18,11 @@ compliant learning rate the regularized potential must rise by at least
 J(step)/(2 eta) every iteration; `run` enforces this for compliant npg runs
 and raises MonotonicityError with full context otherwise.
 
-Runs are independent, so `run` also steps a batch of runs in lockstep: every
+Runs are independent, so `run` also steps a batch of runs together: every
 array carries a leading batch axis K, and each numpy call serves all K runs.
-Each run's results are bit-identical to its solo run.
+A lockstep batch (one variant on several games) gives each run the bits of its
+solo run; a shared batch (several variants on one game) reads the game's
+potential once per step for all its runs, to within rounding of their solo runs.
 """
 
 from __future__ import annotations
@@ -269,8 +271,8 @@ def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(sums, out=sums)
 
 
-# Rows of a lockstep batch's record block (rows, iterates, runs). Row t of the
-# per-step row belongs to the step that leaves iterate t.
+# Rows of a batch's record block (rows, iterates, runs). Row t of the per-step
+# row belongs to the step that leaves iterate t.
 _PHI_TAU, _NE, _QRE, _JEFFREY = _ROWS = range(4)
 _RECORD_CHUNK = 1024  # iterates a record block holds before it first doubles
 
@@ -290,12 +292,19 @@ def run(
     phi_tau[t+1] - phi_tau[t] >= J(step)/(2 eta) - MONOTONICITY_TOL, and a
     step that does not raises MonotonicityError.
 
-    Lockstep form: `run(games, configs)` with one config per game, all equal
-    except for `seed`, and games of one shape and one phi_max. It returns one
-    IterateLog, or the MonotonicityError the solo run would raise, per game,
-    and raises for no single run's failure. A run that stops early or fails
-    leaves the batch and the others go on; every result is bit-identical to
-    the solo run's.
+    Two batch forms step several runs together. Each returns one IterateLog,
+    or the MonotonicityError the run would raise, per config, and raises for
+    no single run's failure. A run that stops early, fails or reaches its
+    max_iters leaves the batch, and the others go on.
+    - Lockstep: `run(games, configs)` with one config per game, all equal
+      except for `seed`, and games of one shape and one phi_max. Every result
+      is bit-identical to the solo run's.
+    - Shared: `run(game, configs)` with one game and any configs. The runs
+      are rows of one batch over the game's single potential, each with its
+      own method, tau, eta, max_iters and stopping rule, and the sweep reads
+      the potential once for all of them (`_contract.fold_shared`). A row's
+      bits can differ from its solo run's by rounding, and they depend on
+      the batch (the configs given), never on anything else.
 
     The loop records (phi_tau, ne_gap, qre_gap) of every iterate and the
     Jeffrey divergence of every step, 32 bytes per step and run, in a block
@@ -306,110 +315,193 @@ def run(
     the last.
     """
     if isinstance(game, PotentialGame):
-        (out,) = _run_lockstep([game], [config])
-        if isinstance(out, MonotonicityError):
-            raise out
-        return out
-    return _run_lockstep(list(game), list(config))
-
-
-def _sweep_input(probs: np.ndarray) -> np.ndarray:
-    """The policy rows the sweep reads: probabilities below SWEEP_PROB_CUT become 0."""
-    return np.where(probs < SWEEP_PROB_CUT, 0.0, probs)
-
-
-def _record(rec: np.ndarray, t: int, r, phi_mean, lp, probs, tau: float) -> None:
-    """Write iterate t's phi_tau and gaps, one column per run, into the record block.
-
-    Per-step reductions call the ufunc's reduce, the routine ndarray.max and
-    ndarray.sum wrap in Python: same bits, less overhead per call.
-    """
-    values = policy_values(r, probs)  # shared by both gaps
-    best = np.maximum.reduce(r, axis=-1)
-    rec[_NE, t] = np.maximum.reduce(ne_gap_terms(best, values), axis=-1)
-    if tau > 0:
-        h = row_entropies(probs, lp)  # shared by phi_tau and the qre gap
-        rec[_PHI_TAU, t] = phi_mean + tau * np.add.reduce(h, axis=-1)
-        rec[_QRE, t] = np.maximum.reduce(qre_gap_terms(r, best, values, h, tau), axis=-1)
-    else:
-        rec[_PHI_TAU, t] = phi_mean
-
-
-def _run_lockstep(games: Sequence[PotentialGame], configs: Sequence[RunConfig]) -> list:
+        if isinstance(config, RunConfig):
+            (out,) = _run_batch(game.potential[None], [game], [config])
+            if isinstance(out, MonotonicityError):
+                raise out
+            return out
+        configs = list(config)
+        return _run_batch(game.potential[None], [game] * len(configs), configs)
+    games, configs = list(game), list(config)
     if len(games) != len(configs):
         raise ValueError(f"{len(games)} games but {len(configs)} configs")
     if not games:
         return []
-    head, config = games[0], configs[0]
+    head, head_config = games[0], configs[0]
     if any(g.joint_shape != head.joint_shape or g.phi_max != head.phi_max for g in games) or any(
-        replace(c, seed=config.seed) != config for c in configs
+        replace(c, seed=head_config.seed) != head_config for c in configs
     ):
         raise ValueError("a lockstep batch needs games of one shape and phi_max, "
                          "and configs equal except for seed")
-    eta = config.resolve_eta(head)
-    tau = config.tau
-    method = config.method
-    mono_enabled = improvement_guaranteed(method, eta, tau, head.num_agents, head.phi_max)
-    track_jeffrey = method != "pg_direct"
-    two_eta = 2.0 * eta
-    stop = config.stop_qre_gap
-    nan = float("nan")
+    potentials = head.potential[None] if len(games) == 1 else np.stack([g.potential for g in games])
+    return _run_batch(potentials, games, configs)
 
-    k = len(games)
-    potentials = head.potential[None] if k == 1 else np.stack([g.potential for g in games])
+
+def _sweep_input(probs: np.ndarray) -> np.ndarray:
+    """The policy rows the sweep reads: probabilities below SWEEP_PROB_CUT become 0."""
+    if np.minimum.reduce(probs, axis=None) >= SWEEP_PROB_CUT:  # one call where none is cut
+        return probs
+    return np.where(probs < SWEEP_PROB_CUT, 0.0, probs)
+
+
+# A batch orders its rows by method: the regularized rows first (they alone have
+# entropies and qre gaps), then every row npg_update_logs steps, then pg_direct.
+_METHOD_ORDER = {"npg": 0, "mwu": 1, "pg_direct": 2}
+
+
+@dataclass
+class _Row:
+    """One run of a batch and what the loop needs of it."""
+
+    index: int  # position in the caller's configs
+    game: PotentialGame
+    config: RunConfig
+    eta: float
+    mono_enabled: bool
+    d0: float = math.nan
+
+
+def _per_row(values: list[float], trailing: int):
+    """One float when every row shares the value, else a column over `trailing` broadcast axes.
+
+    Either form gives each row the same bits, so a batch of one variant makes
+    exactly the numpy calls its runs make alone.
+    """
+    if all(v == values[0] for v in values):
+        return values[0]
+    return np.array(values).reshape((-1,) + (1,) * trailing)
+
+
+class _Batch:
+    """The live rows of a batch in method order, and each method group's parameters.
+
+    Rows [0, n_reg) are npg, rows [0, n_upd) take npg_update_logs (npg and
+    mwu) and rows [n_upd, K) take the pg_direct step; each group is one slice
+    and one numpy call per operation. Rebuilt only when rows leave.
+    """
+
+    def __init__(self, rows: list[_Row]):
+        self.rows = rows
+        self.n_reg = sum(row.config.method == "npg" for row in rows)
+        self.n_upd = self.n_reg + sum(row.config.method == "mwu" for row in rows)
+        upd, pg = rows[: self.n_upd], rows[self.n_upd :]
+        self.eta_upd = _per_row([row.eta for row in upd], 2) if upd else None
+        self.tau_upd = _per_row([row.config.tau for row in upd], 2) if upd else None
+        self.eta_pg = _per_row([row.eta for row in pg], 2) if pg else None
+        taus = [row.config.tau for row in rows[: self.n_reg]]
+        self.tau_phi = _per_row(taus, 0) if taus else None  # against (K,) sums
+        self.tau_gap = _per_row(taus, 1) if taus else None  # against (K, N) gaps
+        self.gated = [(c, 2.0 * row.eta) for c, row in enumerate(rows) if row.mono_enabled]
+        stops = [row.config.stop_qre_gap for row in rows]
+        # A row without a stopping rule never stops: no gap is <= -inf.
+        self.stop = None if all(s is None for s in stops) else np.array(
+            [-math.inf if s is None else s for s in stops])
+        self.top = max(row.config.max_iters for row in rows)
+        self.end = min(row.config.max_iters for row in rows)  # the first iterate a row ends at
+
+    def step(self, rec: np.ndarray, t: int, lp, probs, r) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's new (log_probs, probs); writes the Jeffrey divergence of step t."""
+        n = self.n_upd
+        if n == 0:
+            return step_update("pg_direct", lp, probs, r, self.eta_pg, 0.0)
+        if n == len(lp):
+            new_lp, new_probs = step_update("npg", lp, probs, r, self.eta_upd, self.tau_upd)
+            rec[_JEFFREY, t] = jeffrey_logs(new_probs, new_lp, probs, lp)
+            return new_lp, new_probs
+        new_lp, new_probs = np.empty_like(lp), np.empty_like(probs)
+        new_lp[:n], new_probs[:n] = step_update(
+            "npg", lp[:n], probs[:n], r[:n], self.eta_upd, self.tau_upd)
+        new_lp[n:], new_probs[n:] = step_update(
+            "pg_direct", lp[n:], probs[n:], r[n:], self.eta_pg, 0.0)
+        rec[_JEFFREY, t, :n] = jeffrey_logs(new_probs[:n], new_lp[:n], probs[:n], lp[:n])
+        return new_lp, new_probs
+
+    def record(self, rec: np.ndarray, t: int, r, phi_mean, lp, probs) -> None:
+        """Write iterate t's phi_tau and gaps, one column per row, into the record block.
+
+        Per-step reductions call the ufunc's reduce, the routine ndarray.max and
+        ndarray.sum wrap in Python: same bits, less overhead per call.
+        """
+        values = policy_values(r, probs)  # shared by both gaps
+        best = np.maximum.reduce(r, axis=-1)
+        rec[_NE, t] = np.maximum.reduce(ne_gap_terms(best, values), axis=-1)
+        n = self.n_reg
+        if n == 0:
+            rec[_PHI_TAU, t] = phi_mean
+            return
+        if n < len(r):  # the unregularized rows: phi_tau is the expected potential
+            rec[_PHI_TAU, t, n:] = phi_mean[n:]
+            r, phi_mean, lp, probs, values, best = (
+                r[:n], phi_mean[:n], lp[:n], probs[:n], values[:n], best[:n])
+        h = row_entropies(probs, lp)  # shared by phi_tau and the qre gap
+        rec[_PHI_TAU, t, :n] = phi_mean + self.tau_phi * np.add.reduce(h, axis=-1)
+        rec[_QRE, t, :n] = np.maximum.reduce(qre_gap_terms(r, best, values, h, self.tau_gap), axis=-1)
+
+
+def _run_batch(potentials: np.ndarray, games: Sequence[PotentialGame],
+               configs: Sequence[RunConfig]) -> list:
+    """Step the runs as rows of one batch; potentials holds each row's potential, or one for all."""
+    nan = float("nan")
+    k = len(configs)
+    rows = []  # a lockstep batch has one method, so its potentials keep their order
+    for c in sorted(range(k), key=lambda c: _METHOD_ORDER[configs[c].method]):
+        game, config = games[c], configs[c]
+        eta = config.resolve_eta(game)
+        rows.append(_Row(c, game, config, eta, improvement_guaranteed(
+            config.method, eta, config.tau, game.num_agents, game.phi_max)))
+    batch = _Batch(rows)
+    head = games[0]
     lp = np.full((k, head.num_agents, head.num_actions), -math.log(head.num_actions))
     probs = np.exp(lp)
     # Undefined quantities (qre_gap at tau = 0, Jeffrey for pg_direct) stay NaN.
-    rec = np.full((len(_ROWS), min(config.max_iters + 1, _RECORD_CHUNK), k), nan)
+    rec = np.full((len(_ROWS), min(batch.top + 1, _RECORD_CHUNK), k), nan)
     r, phi_mean = marginal_sweep(potentials, _sweep_input(probs))
-    _record(rec, 0, r, phi_mean, lp, probs, tau)
-    d0 = [best_response_log_distance(lp[c], r[c], tau) if tau > 0 else nan for c in range(k)]
-    runs = list(range(k))  # the run in each batch column
+    batch.record(rec, 0, r, phi_mean, lp, probs)
+    for c, row in enumerate(rows):
+        if row.config.tau > 0:
+            row.d0 = best_response_log_distance(lp[c], r[c], row.config.tau)
     results: list = [None] * k
 
     def finish(col: int, steps: int, stopped_early: bool) -> None:
-        run_index = runs[col]
-        results[run_index] = _iterate_log(
-            games[run_index], configs[run_index], eta, rec[:, : steps + 1, col], d0[run_index],
-            mono_enabled, stopped_early, lp[col])
+        row = batch.rows[col]
+        results[row.index] = _iterate_log(row.game, row.config, row.eta, rec[:, : steps + 1, col],
+                                          row.d0, row.mono_enabled, stopped_early, lp[col])
 
-    for t in range(config.max_iters):
-        new_lp, new_probs = step_update(method, lp, probs, r, eta, tau)
-        if track_jeffrey:
-            rec[_JEFFREY, t] = jeffrey_logs(new_probs, new_lp, probs, lp)
-        lp, probs = new_lp, new_probs
+    t = 0  # every live row is at iterate t
+    while True:
+        leave = set()
+        if batch.gated and t:  # in Python floats, as cheap as a solo run's check at K = 1
+            (before, after), jeffrey = rec[_PHI_TAU, t - 1 : t + 1].tolist(), rec[_JEFFREY, t - 1].tolist()
+            for c, two_eta in batch.gated:
+                if after[c] - before[c] - jeffrey[c] / two_eta < -MONOTONICITY_TOL:
+                    results[batch.rows[c].index] = MonotonicityError(
+                        t - 1, before[c], after[c], jeffrey[c])
+                    leave.add(c)
+        if batch.stop is not None and t:
+            for c in np.flatnonzero(rec[_QRE, t] <= batch.stop).tolist():  # NaN if tau = 0
+                if c not in leave:  # a failing row reports its failure, as its solo run raises
+                    finish(c, t, True)
+                    leave.add(c)
+        if t == batch.end:
+            for c, row in enumerate(batch.rows):
+                if row.config.max_iters == t and c not in leave:
+                    finish(c, t, False)
+                    leave.add(c)
+        if leave:
+            keep = np.array([c not in leave for c in range(len(batch.rows))])
+            if not keep.any():
+                return results
+            batch = _Batch([row for row, kept in zip(batch.rows, keep) if kept])
+            if len(potentials) > 1:
+                potentials = potentials[keep]
+            lp, probs, r, rec = lp[keep], probs[keep], r[keep], rec[:, :, keep]
+        lp, probs = batch.step(rec, t, lp, probs, r)
         r, phi_mean = marginal_sweep(potentials, _sweep_input(probs))
-        if t + 1 == rec.shape[1]:  # grow, never past max_iters + 1 iterates
-            more = min(rec.shape[1], config.max_iters + 1 - rec.shape[1])
-            rec = np.concatenate([rec, np.full((len(_ROWS), more, len(runs)), nan)], axis=1)
-        _record(rec, t + 1, r, phi_mean, lp, probs, tau)
-        leave = None
-        if mono_enabled:  # in Python floats, as cheap as a solo run's check at K = 1
-            (before, after), jeffrey = rec[_PHI_TAU, t : t + 2].tolist(), rec[_JEFFREY, t].tolist()
-            failed = [c for c, j in enumerate(jeffrey)
-                      if after[c] - before[c] - j / two_eta < -MONOTONICITY_TOL]
-            if failed:
-                for c in failed:
-                    results[runs[c]] = MonotonicityError(t, before[c], after[c], jeffrey[c])
-                leave = np.zeros(len(runs), bool)
-                leave[failed] = True
-        if stop is not None and rec[_QRE, t + 1].min() <= stop:  # NaN if tau = 0
-            stopped = rec[_QRE, t + 1] <= stop
-            if leave is not None:
-                stopped &= ~leave  # a failing run reports its failure, as its solo run raises
-            for c in np.flatnonzero(stopped):
-                finish(c, t + 1, True)
-            leave = stopped if leave is None else leave | stopped
-        if leave is not None:
-            keep = ~leave
-            runs = [run_index for run_index, kept in zip(runs, keep) if kept]
-            if not runs:
-                break
-            potentials, lp, probs, r, rec = (
-                potentials[keep], lp[keep], probs[keep], r[keep], rec[:, :, keep])
-    for c in range(len(runs)):
-        finish(c, config.max_iters, False)
-    return results
+        if t + 1 == rec.shape[1]:  # grow, never past the longest run's max_iters + 1 iterates
+            more = min(rec.shape[1], batch.top + 1 - rec.shape[1])
+            rec = np.concatenate([rec, np.full((len(_ROWS), more, len(batch.rows)), nan)], axis=1)
+        t += 1
+        batch.record(rec, t, r, phi_mean, lp, probs)
 
 
 def _iterate_log(game: PotentialGame, config: RunConfig, eta: float, rec: np.ndarray, d0: float,

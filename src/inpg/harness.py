@@ -65,9 +65,9 @@ def agg_basename(method: str, tau: float) -> str:
 def write_csv_rows(path, iters: np.ndarray, columns: list[np.ndarray]) -> None:
     """CSV_HEADER, then one row per iteration: the integer iteration and each column's value
     with 17 significant digits (lossless for doubles)."""
+    row = "%d" + ",%.17g" * len(columns)  # "%.17g" % v is format(v, ".17g"), nan and inf too
     lines = [CSV_HEADER]
-    for it, *values in zip(iters.tolist(), *(col.tolist() for col in columns)):
-        lines.append(f"{int(it)}," + ",".join(format(v, ".17g") for v in values))
+    lines += [row % values for values in zip(iters.tolist(), *(col.tolist() for col in columns))]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -261,71 +261,137 @@ class GameSpec:
 # in 0.75 and 0.78), and two stacked 4x20 games (2.6 MB) took 1.13 times as long.
 LOCKSTEP_BYTES = 1 << 20
 
+# execute_runs skips the process pool when the runs' estimated time in one
+# process is below POOL_MIN_SECONDS, where the pool's start-up costs more than
+# two workers save. A run-step is estimated at STEP_SECONDS plus CELL_SECONDS
+# per potential entry (one BLAS thread, 2-core Xeon: about 25 us at 2x10 and
+# 120 us at 4x20). Measured there in fresh processes with --jobs 2, 8 pg_direct
+# 2x10 runs took 78 ms in the pool and 52 ms in one process at 200 steps
+# (estimated 0.04 s), broke even at 600 (0.12 s) and took 180 against 225 ms at
+# 1000 (0.2 s).
+POOL_MIN_SECONDS = 0.1
+STEP_SECONDS = 25e-6
+CELL_SECONDS = 0.6e-9
+
 Task = tuple[GameSpec, RunConfig, str]
 
 
-def lockstep_batches(tasks: list[Task], jobs: int = 1) -> list[list[Task]]:
-    """Split tasks, in order, into runs that can step in lockstep.
+def _shares_its_game(spec: GameSpec) -> bool:
+    """Whether every run on this game steps as a row of one shared batch.
 
-    A task joins the batch before it when both write to one directory, their
-    configs are equal except for `seed`, their games are generated by one
-    generator at one (N, A), the batch's bytes stay within LOCKSTEP_BYTES, and
-    the batch holds at most ceil(len(tasks) / jobs) tasks, so that every
-    worker gets a batch. File games run alone: their shape is known only after
-    loading. Each run's output is the same in any batch.
+    A file game's shape is known only after loading, and a potential over half
+    of LOCKSTEP_BYTES could never stack with another game's.
     """
-    most = -(-len(tasks) // max(jobs, 1))
-    batches: list[list[Task]] = []
-    for task in tasks:
-        spec, config, out_dir = task
-        if batches and len(batches[-1]) < most:
-            head_spec, head_config, head_dir = batches[-1][0]
-            if (spec.source != "file" and out_dir == head_dir
+    return spec.source == "file" or 8 * spec.num_actions**spec.num_agents > LOCKSTEP_BYTES // 2
+
+
+def lockstep_batches(tasks: list[Task], jobs: int = 1) -> list[list[int]]:
+    """Group task indices into batches that step together; every task is in one batch.
+
+    Shared batches: every task on one game (one GameSpec and one directory)
+    when _shares_its_game holds, whatever its config. The runs are rows over
+    the game's single potential (`dynamics.run(game, configs)`), and a row's
+    bits depend on the configs that share its game, so such a batch is never
+    split.
+
+    Lockstep batches: of the other tasks, one joins the batch before it when
+    both write to one directory, their configs are equal except for `seed`,
+    their games are generated by one generator at one (N, A), the batch's bytes
+    stay within LOCKSTEP_BYTES, and the batch holds at most ceil(tasks / jobs)
+    of these tasks, so that every worker gets a batch. Each run's output is
+    the same in any lockstep batch.
+
+    Batches are ordered by their first task. The grouping depends on the
+    tasks alone, and on jobs only where it cannot change a byte.
+    """
+    shared: dict[tuple[GameSpec, str], list[int]] = {}
+    rest = []
+    for i, (spec, _, out_dir) in enumerate(tasks):
+        if _shares_its_game(spec):
+            shared.setdefault((spec, out_dir), []).append(i)
+        else:
+            rest.append(i)
+    most = -(-len(rest) // max(jobs, 1))
+    batches = list(shared.values())
+    lockstep: list[list[int]] = []
+    for i in rest:
+        spec, config, out_dir = tasks[i]
+        if lockstep and len(lockstep[-1]) < most:
+            head_spec, head_config, head_dir = tasks[lockstep[-1][0]]
+            if (out_dir == head_dir
                     and (spec.source, spec.num_agents, spec.num_actions)
                     == (head_spec.source, head_spec.num_agents, head_spec.num_actions)
                     and replace(config, seed=head_config.seed) == head_config
-                    and (len(batches[-1]) + 1) * lockstep_run_bytes(
+                    and (len(lockstep[-1]) + 1) * lockstep_run_bytes(
                         spec.num_agents, spec.num_actions, config.max_iters) <= LOCKSTEP_BYTES):
-                batches[-1].append(task)
+                lockstep[-1].append(i)
                 continue
-        batches.append([task])
-    return batches
+        lockstep.append([i])
+    return sorted(batches + lockstep)
 
 
-def _execute_batch(batch: list[Task]) -> list[tuple[str, dict | None, str | None]]:
-    """Worker: run one lockstep batch, write each run's CSV, meta, and final policy.
+RunResult = tuple[str, dict | None, str | None, dict[str, np.ndarray] | None]
 
-    Returns (basename, meta, error) per task, in order.
+
+def _execute_batch(batch: list[Task]) -> list[RunResult]:
+    """Worker: run one batch, write each run's CSV, meta, and final policy.
+
+    Returns (basename, meta, error, logged columns) per task, in order; the
+    columns are the run CSV's, keyed by its header, and None for a failed run.
     """
-    games = [spec.build() for spec, _, _ in batch]
-    logs = run(games, [config for _, config, _ in batch])
+    configs = [config for _, config, _ in batch]
+    spec = batch[0][0]
+    if len(batch) > 1 and all(other == spec for other, _, _ in batch):  # shared: one game
+        logs = run(spec.build(), configs)
+    else:
+        logs = run([spec.build() for spec, _, _ in batch], configs)
     results = []
     for (_, config, out_dir), log in zip(batch, logs):
         base = run_basename(config.method, config.tau, config.seed)
         if isinstance(log, MonotonicityError):
-            results.append((base, None, str(log)))
+            results.append((base, None, str(log), None))
             continue
         write_run_csv(log, os.path.join(out_dir, base + ".csv"))
         write_run_meta(log, os.path.join(out_dir, base + ".meta.json"))
         policy_to_csv(log.final_policy, os.path.join(out_dir, base + ".policy.csv"))
-        results.append((base, meta_from_log(log), None))
+        columns = {"iter": log.iters, **{name: getattr(log, name) for name in CSV_COLUMNS}}
+        results.append((base, meta_from_log(log), None, columns))
     return results
 
 
-def execute_runs(tasks: list[Task], jobs: int = 1) -> list[tuple[str, dict | None, str | None]]:
-    """Run tasks in lockstep batches (optionally in parallel); output files are per-task."""
+def _serial_seconds(tasks: list[Task]) -> float:
+    """Estimated time of the tasks in one process; a file game counts as too large to skip the pool."""
+    if any(spec.source == "file" for spec, _, _ in tasks):
+        return math.inf
+    return sum(config.max_iters * (STEP_SECONDS + CELL_SECONDS * spec.num_actions**spec.num_agents)
+               for spec, config, _ in tasks)
+
+
+def execute_runs(tasks: list[Task], jobs: int = 1) -> list[RunResult]:
+    """Run tasks in batches (in parallel for jobs > 1 unless the work is too small to pay
+    for a process pool); output files are per-task. Returns _execute_batch's tuples in
+    task order."""
     batches = lockstep_batches(tasks, jobs)
-    if jobs <= 1 or len(batches) <= 1:
-        done = [_execute_batch(batch) for batch in batches]
+    work = [[tasks[i] for i in batch] for batch in batches]
+    if jobs <= 1 or len(batches) <= 1 or _serial_seconds(tasks) < POOL_MIN_SECONDS:
+        done = [_execute_batch(batch) for batch in work]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_execute_batch, batches))
-    return [result for results in done for result in results]
+            done = list(pool.map(_execute_batch, work))
+    results: list = [None] * len(tasks)
+    for batch, batch_results in zip(batches, done):
+        for i, result in zip(batch, batch_results):
+            results[i] = result
+    return results
 
 
-def aggregate_csvs(csv_paths: list[str], out_path: str) -> None:
-    """Average each column across runs of one variant at the iterations every run logged."""
-    columns = [read_csv_columns(p) for p in sorted(csv_paths)]
+def aggregate_csvs(runs: dict[str, dict[str, np.ndarray]], out_path: str) -> None:
+    """Average each column across runs of one variant at the iterations every run logged.
+
+    runs maps each run CSV's path to its columns, as read_csv_columns returns
+    them; runs are averaged in sorted-path order.
+    """
+    columns = [runs[path] for path in sorted(runs)]
     common = set.intersection(*(set(cols["iter"].tolist()) for cols in columns))
     rows = [np.array([it in common for it in cols["iter"].tolist()], dtype=bool)
             for cols in columns]
@@ -340,23 +406,27 @@ def run_experiment(
     variants: list[RunConfig],
     jobs: int = 1,
 ) -> list[tuple[str, dict | None, str | None]]:
-    """All (variant x game) runs, then one aggregate CSV per variant."""
+    """All (variant x game) runs, then one aggregate CSV per variant.
+
+    Returns (basename, meta, error) per run. The aggregates average the
+    columns the runs return, which are the values their CSVs hold.
+    """
     os.makedirs(out_dir, exist_ok=True)
     tasks = []
     for variant in variants:
         for spec in game_specs:
             tasks.append((spec, replace(variant, seed=spec.seed), out_dir))
     results = execute_runs(tasks, jobs=jobs)
-    failures = {base for base, _, err in results if err is not None}
+    logged = {base: columns for base, _, err, columns in results if err is None}
     for variant in variants:
-        paths = []
+        runs = {}
         for spec in game_specs:
             base = run_basename(variant.method, variant.tau, spec.seed)
-            if base not in failures:
-                paths.append(os.path.join(out_dir, base + ".csv"))
-        if paths:
-            aggregate_csvs(paths, os.path.join(out_dir, agg_basename(variant.method, variant.tau) + ".csv"))
-    return results
+            if base in logged:
+                runs[os.path.join(out_dir, base + ".csv")] = logged[base]
+        if runs:
+            aggregate_csvs(runs, os.path.join(out_dir, agg_basename(variant.method, variant.tau) + ".csv"))
+    return [(base, meta, err) for base, meta, err, _ in results]
 
 
 def seeded_game_specs(kind: str, agents: int, actions: int, base_seed: int, runs: int) -> list[GameSpec]:

@@ -28,12 +28,15 @@ def marginalized_utility(game: PotentialGame, agent: int, policy: JointPolicy) -
 def marginal_sweep(potentials: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every agent's potential marginal plus the expected potential, in one sweep per run.
 
-    potentials: K potentials of one shape stacked on a leading axis; probs:
+    potentials: K potentials of one shape stacked on a leading axis, or a
+    single one (a leading axis of length 1) that every policy reads; probs:
     (K, N, A) policy rows. Returns (r, phi_mean) of shapes (K, N, A) and (K,).
     Row r[k, i] is run k's Phi with every agent but i integrated out: in a
     potential game it differs from agent i's marginalized utility by a
     constant, which the updates, the simplex projection and both gaps ignore.
     """
+    if len(potentials) == 1 < len(probs):
+        return _contract.fold_shared(potentials[0], probs)
     return _contract.fold_all_agents(potentials, probs)
 
 
@@ -100,13 +103,20 @@ def qre_gap_terms(
     """Per-agent regularized improvement: tau*LSE(r_i/tau) - <r_i, pi_i> - tau*H(pi_i).
 
     best: r.max(axis=-1), the shift of the log-sum-exp; values: policy_values(r,
-    probs); entropies: row_entropies(probs, log_probs). Equals
-    tau * KL(pi_i || best_response(r_i, tau)). Clamped at 0 against rounding in
-    the cancellation near a fixed point.
+    probs); entropies: row_entropies(probs, log_probs). tau is a float, or an
+    array of temperatures that broadcasts against best (shape (K, 1) gives each
+    of K runs its own). Equals tau * KL(pi_i || best_response(r_i, tau)).
+    Clamped at 0 against rounding in the cancellation near a fixed point.
     """
-    if tau <= 0:
+    if isinstance(tau, np.ndarray):
+        tau_r = tau[..., None]
+        invalid = (tau <= 0).any()
+    else:
+        tau_r = tau
+        invalid = tau <= 0
+    if invalid:
         raise ValueError("qre_gap requires tau > 0")
-    soft_max = best + tau * np.log(np.add.reduce(np.exp((r - best[..., None]) / tau), axis=-1))
+    soft_max = best + tau * np.log(np.add.reduce(np.exp((r - best[..., None]) / tau_r), axis=-1))
     return np.maximum(soft_max - (values + tau * entropies), 0.0)
 
 

@@ -8,12 +8,17 @@ must also give those bits for a non-contiguous copy of it.
 
 `fold_all_agents` also sweeps a batch of runs through stacked matmuls; each
 run of a batch must get the bits of its own sweep as a batch of one.
+
+`fold_shared` sweeps K policies over one tensor through GEMMs, whose rows may
+differ from the solo kernel's by rounding: each must be close to its solo sweep,
+and its Kronecker cut must not move a bit.
 """
 
 import numpy as np
 import pytest
 
-from inpg._contract import fold_all, fold_all_agents, fold_except
+from inpg import _contract
+from inpg._contract import fold_all, fold_all_agents, fold_except, fold_shared
 
 SHAPES = [(n, a) for n in range(1, 6) for a in range(1, 7)] + [(4, 20)]
 
@@ -107,3 +112,26 @@ def test_batched_sweep_matches_each_run_alone(num_agents, num_actions, batch):
             solo_marginals, solo_mean = fold_all_agents(tensors[k : k + 1], probs[k : k + 1])
             assert np.array_equal(marginals[k], solo_marginals[0])
             assert means[k] == solo_mean[0]
+
+
+@pytest.mark.parametrize("num_agents,num_actions", [(n, a) for n in range(1, 6) for a in (1, 2, 5)]
+                         + [(4, 20)])
+@pytest.mark.parametrize("batch", [2, 3, 5])
+def test_shared_sweep_is_close_to_each_solo_sweep(monkeypatch, num_agents, num_actions, batch):
+    rng = np.random.default_rng(100 * batch + 10 * num_agents + num_actions)
+    copies = layouts(rng.random((num_actions,) * num_agents))
+    kinds = [list(policies(rng, num_agents, num_actions)) for _ in range(batch)]
+    for shift in range(len(kinds[0])):
+        probs = np.stack([kinds[k][(k + shift) % len(kinds[k])] for k in range(batch)])
+        solo = [fold_all_agents(copies[0][None], probs[k : k + 1]) for k in range(batch)]
+        for copy in copies:
+            marginals, means = fold_shared(copy, probs)
+            assert marginals.shape == (batch, num_agents, num_actions) and means.shape == (batch,)
+            for k, (solo_marginals, solo_mean) in enumerate(solo):
+                np.testing.assert_allclose(marginals[k], solo_marginals[0], rtol=1e-13, atol=0)
+                np.testing.assert_allclose(means[k], solo_mean[0], rtol=1e-13, atol=0)
+        with monkeypatch.context() as m:
+            m.setattr(_contract, "KRON_CUT", 0.0)
+            uncut = fold_shared(copies[0], probs)
+        cut = fold_shared(copies[0], probs)
+        assert np.array_equal(cut[0], uncut[0]) and np.array_equal(cut[1], uncut[1])

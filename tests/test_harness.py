@@ -29,6 +29,7 @@ from inpg.harness import (
     run_basename,
     run_experiment,
     seeded_game_specs,
+    write_csv_rows,
     write_run_csv,
     write_run_meta,
 )
@@ -52,6 +53,20 @@ class TestRunFiles:
         for name, arr in (("phi_tau", small_log.phi_tau), ("qre_gap", small_log.qre_gap),
                           ("jeffrey_step", small_log.jeffrey_step)):
             assert np.array_equal(cols[name], arr)  # 17 significant digits round-trip doubles
+
+    def test_csv_values_are_written_as_format_17g(self, tmp_path):
+        # One "%" call per row must give the bytes of format(v, ".17g") for every double.
+        rng = np.random.default_rng(5)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 0.1, 1 / 3, -1e16, 123456789.0]
+        values = np.concatenate([special, rng.standard_normal(600) * 10.0 ** rng.integers(-320, 300, 600),
+                                 rng.integers(-2**53, 2**53, 100).astype(float)])
+        columns = [np.roll(values, j) for j in range(len(CSV_COLUMNS))]
+        path = tmp_path / "values.csv"
+        write_csv_rows(path, np.arange(len(values)), columns)
+        expected = [CSV_HEADER] + [f"{t}," + ",".join(format(v, ".17g") for v in row)
+                                   for t, row in enumerate(zip(*(c.tolist() for c in columns)))]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -94,7 +109,7 @@ class TestAggregate:
             write_run_csv(log, p)
             paths.append(str(p))
         out = tmp_path / "agg.csv"
-        aggregate_csvs(paths, str(out))
+        aggregate_csvs({p: read_csv_columns(p) for p in paths}, str(out))
         agg = read_csv_columns(out)
         a = read_csv_columns(paths[0])
         b = read_csv_columns(paths[1])
@@ -107,7 +122,7 @@ class TestAggregate:
         write_run_csv(run(game, RunConfig(method="npg", tau=0.2, max_iters=10)), p1)
         write_run_csv(run(game, RunConfig(method="npg", tau=0.2, max_iters=12)), p2)
         out = tmp_path / "agg.csv"
-        aggregate_csvs([str(p1), str(p2)], str(out))
+        aggregate_csvs({str(p): read_csv_columns(p) for p in (p1, p2)}, str(out))
         agg, a, b = (read_csv_columns(p) for p in (out, p1, p2))
         assert agg["iter"].tolist() == list(range(11))
         for name in CSV_COLUMNS:
@@ -244,7 +259,8 @@ class TestLockstepBatches:
                 assert result[2] is None
             csvs = [str(alone / (run_basename(variant.method, variant.tau, spec.seed) + ".csv"))
                     for spec in specs]
-            aggregate_csvs(csvs, str(alone / (agg_basename(variant.method, variant.tau) + ".csv")))
+            aggregate_csvs({p: read_csv_columns(p) for p in csvs},
+                           str(alone / (agg_basename(variant.method, variant.tau) + ".csv")))
         files = {f.name: f.read_bytes() for f in sorted(batched.iterdir())}
         assert len(files) == 2 * (3 * 20 + 1)  # three files per run, one aggregate per variant
         assert files == {f.name: f.read_bytes() for f in sorted(alone.iterdir())}

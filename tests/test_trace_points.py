@@ -10,6 +10,7 @@ from each wrap point.
 
 import os
 import sys
+from dataclasses import replace
 
 from inpg import game as game_mod
 from inpg import harness
@@ -41,5 +42,26 @@ def test_every_wrap_point_records_a_span(tmp_path):
         harness.plot_directory(out)
         harness.audit_directory(out)
     assert tracer.missing == []
+    recorded = {span[0] for span in tracer.spans}
+    assert [name for _, _, name in points if name not in recorded] == []
+
+
+def test_a_shared_batch_calls_every_dynamics_wrap_point(tmp_path):
+    # A file game's variants step as rows of one shared batch, a loop of its own
+    # sweep kernel and method groups; it must call through the same wrap points.
+    points = [(module, attr, f"{module}.{attr}") for module, attr, _ in spans.WRAP_POINTS
+              if module == "inpg.dynamics"]
+    path = str(tmp_path / "game.pg")
+    game_mod.save_game(game_mod.make_general_potential(3, 4, 4), path)
+    variants = [RunConfig(method="npg", tau=0.1, max_iters=5),
+                RunConfig(method="mwu", max_iters=5),
+                RunConfig(method="pg_direct", max_iters=5)]
+    spec = harness.GameSpec(source="file", path=path, seed=4)
+    out = str(tmp_path / "out")
+    tasks = [(spec, replace(v, seed=4), out) for v in variants]
+    assert harness.lockstep_batches(tasks) == [[0, 1, 2]]
+    tracer = spans.Tracer(points)
+    with tracer:
+        harness.run_experiment(out, [spec], variants)
     recorded = {span[0] for span in tracer.spans}
     assert [name for _, _, name in points if name not in recorded] == []
