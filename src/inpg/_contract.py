@@ -100,19 +100,33 @@ def fold_all_agents(tensors: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray,
     to rounding.
     """
     k, num_agents, _ = probs.shape
-    marginals = np.empty(probs.shape, dtype=np.float64)
     if k == 1:
-        first, last, tensor = _fold_first, _fold_last, tensors[0]
-        rows, out = list(probs[0]), marginals[0]
-    else:
-        first, last, tensor = _batch_first, _batch_last, tensors
-        rows, out = list(probs.swapaxes(0, 1)), marginals.swapaxes(0, 1)  # indexed by agent
-    prefixes = [np.ascontiguousarray(tensor)]
+        return _fold_all_agents_one(tensors[0], probs)
+    marginals = np.empty(probs.shape, dtype=np.float64)
+    rows, out = list(probs.swapaxes(0, 1)), marginals.swapaxes(0, 1)  # indexed by agent
+    prefixes = [np.ascontiguousarray(tensors)]
     for j in range(num_agents - 1):
-        prefixes.append(first(prefixes[-1], rows[j]))
+        prefixes.append(_batch_first(prefixes[-1], rows[j]))
     for i in range(num_agents):
-        out[i] = _fold_suffix(prefixes[i], rows, i, last)
-    return marginals, last(prefixes[-1], rows[-1]).reshape(k)
+        out[i] = _fold_suffix(prefixes[i], rows, i, _batch_last)
+    return marginals, _batch_last(prefixes[-1], rows[-1]).reshape(k)
+
+
+def _fold_all_agents_one(tensor: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fold_all_agents for one run, probs of shape (1, N, A): the same GEMVs as
+    _fold_first and _fold_last, on flat prefixes, so no fold reshapes its result back."""
+    rows = list(probs[0])
+    a, num_agents = len(rows[0]), len(rows)
+    prefixes = [np.ascontiguousarray(tensor).reshape(-1)]
+    for j in range(num_agents - 1):
+        prefixes.append(rows[j].dot(prefixes[-1].reshape(a, -1)))
+    marginals = np.empty(probs.shape, dtype=np.float64)
+    for i in range(num_agents):
+        out = prefixes[i]
+        for j in range(num_agents - 1, i, -1):
+            out = out.reshape(-1, a).dot(rows[j])
+        marginals[0, i] = out
+    return marginals, prefixes[-1].reshape(-1, a).dot(rows[-1])
 
 
 def fold_shared(tensor: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
