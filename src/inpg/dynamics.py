@@ -20,8 +20,8 @@ and raises MonotonicityError with full context otherwise.
 
 Runs are independent, so `run` also steps a batch of runs together: every
 array carries a leading batch axis K, and each numpy call serves all K runs.
-A lockstep batch (one variant on several games) gives each run the bits of its
-solo run; a shared batch (several variants on one game) reads the game's
+A lockstep batch (any runs on games of one shape, one game each) gives each run
+the bits of its solo run; a shared batch (any runs on one game) reads the game's
 potential once per step for all its runs, to within rounding of their solo runs.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -294,17 +294,18 @@ def run(
 
     Two batch forms step several runs together. Each returns one IterateLog,
     or the MonotonicityError the run would raise, per config, and raises for
-    no single run's failure. A run that stops early, fails or reaches its
-    max_iters leaves the batch, and the others go on.
-    - Lockstep: `run(games, configs)` with one config per game, all equal
-      except for `seed`, and games of one shape and one phi_max. Every result
+    no single run's failure. Either way the runs are rows of one batch, each
+    with its own method, tau, eta, max_iters and stopping rule; a run that
+    stops early, fails or reaches its max_iters leaves the batch, and the
+    others go on.
+    - Lockstep: `run(games, configs)` with one config per game and games of
+      one shape. Each row reads its own game's potential, and every result
       is bit-identical to the solo run's.
-    - Shared: `run(game, configs)` with one game and any configs. The runs
-      are rows of one batch over the game's single potential, each with its
-      own method, tau, eta, max_iters and stopping rule, and the sweep reads
-      the potential once for all of them (`_contract.fold_shared`). A row's
-      bits can differ from its solo run's by rounding, and they depend on
-      the batch (the configs given), never on anything else.
+    - Shared: `run(game, configs)` with one game and any configs. The sweep
+      reads the game's single potential once for all the rows
+      (`_contract.fold_shared`). A row's bits can differ from its solo run's
+      by rounding, and they depend on the batch (the configs given), never
+      on anything else.
 
     The loop records (phi_tau, ne_gap, qre_gap) of every iterate and the
     Jeffrey divergence of every step, 32 bytes per step and run, in a block
@@ -316,25 +317,20 @@ def run(
     """
     if isinstance(game, PotentialGame):
         if isinstance(config, RunConfig):
-            (out,) = _run_batch(game.potential[None], [game], [config])
+            (out,) = _run_batch([game], [config], shared=True)
             if isinstance(out, MonotonicityError):
                 raise out
             return out
         configs = list(config)
-        return _run_batch(game.potential[None], [game] * len(configs), configs)
+        return _run_batch([game] * len(configs), configs, shared=True)
     games, configs = list(game), list(config)
     if len(games) != len(configs):
         raise ValueError(f"{len(games)} games but {len(configs)} configs")
     if not games:
         return []
-    head, head_config = games[0], configs[0]
-    if any(g.joint_shape != head.joint_shape or g.phi_max != head.phi_max for g in games) or any(
-        replace(c, seed=head_config.seed) != head_config for c in configs
-    ):
-        raise ValueError("a lockstep batch needs games of one shape and phi_max, "
-                         "and configs equal except for seed")
-    potentials = head.potential[None] if len(games) == 1 else np.stack([g.potential for g in games])
-    return _run_batch(potentials, games, configs)
+    if any(g.joint_shape != games[0].joint_shape for g in games):
+        raise ValueError("a lockstep batch needs games of one shape")
+    return _run_batch(games, configs, shared=False)
 
 
 def _sweep_input(probs: np.ndarray) -> np.ndarray:
@@ -438,18 +434,21 @@ class _Batch:
         rec[_QRE, t, :n] = np.maximum.reduce(qre_gap_terms(r, best, values, h, self.tau_gap), axis=-1)
 
 
-def _run_batch(potentials: np.ndarray, games: Sequence[PotentialGame],
-               configs: Sequence[RunConfig]) -> list:
-    """Step the runs as rows of one batch; potentials holds each row's potential, or one for all."""
+def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], shared: bool) -> list:
+    """Step the runs as one batch: every row reads games[0]'s potential if shared, else its own."""
     nan = float("nan")
     k = len(configs)
-    rows = []  # a lockstep batch has one method, so its potentials keep their order
+    rows = []
     for c in sorted(range(k), key=lambda c: _METHOD_ORDER[configs[c].method]):
         game, config = games[c], configs[c]
         eta = config.resolve_eta(game)
         rows.append(_Row(c, game, config, eta, improvement_guaranteed(
             config.method, eta, config.tau, game.num_agents, game.phi_max)))
     batch = _Batch(rows)
+    if shared or k == 1:
+        potentials = games[0].potential[None]
+    else:  # stacked in row order
+        potentials = np.stack([row.game.potential for row in rows])
     head = games[0]
     lp = np.full((k, head.num_agents, head.num_actions), -math.log(head.num_actions))
     probs = np.exp(lp)

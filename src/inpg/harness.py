@@ -288,46 +288,40 @@ def _shares_its_game(spec: GameSpec) -> bool:
 def lockstep_batches(tasks: list[Task], jobs: int = 1) -> list[list[int]]:
     """Group task indices into batches that step together; every task is in one batch.
 
-    Shared batches: every task on one game (one GameSpec and one directory)
-    when _shares_its_game holds, whatever its config. The runs are rows over
-    the game's single potential (`dynamics.run(game, configs)`), and a row's
-    bits depend on the configs that share its game, so such a batch is never
-    split.
-
-    Lockstep batches: of the other tasks, one joins the batch before it when
-    both write to one directory, their configs are equal except for `seed`,
-    their games are generated by one generator at one (N, A), the batch's bytes
-    stay within LOCKSTEP_BYTES, and the batch holds at most ceil(tasks / jobs)
-    of these tasks, so that every worker gets a batch. Each run's output is
-    the same in any lockstep batch.
+    One pass keys every task, whatever its config, and adds it to the last
+    batch of its key:
+    - Shared: when _shares_its_game holds, the key is the GameSpec and the
+      directory. The runs are rows over the game's single potential
+      (`dynamics.run(game, configs)`), and a row's bits depend on the configs
+      that share its game, so such a batch is never split.
+    - Lockstep: otherwise the key is the directory and the game's (N, A). A
+      task starts a new batch when the last one holds ceil(lockstep tasks /
+      jobs) tasks, so that every worker gets a batch, or when it would take
+      that batch past LOCKSTEP_BYTES: its size times the lockstep_run_bytes
+      of its longest max_iters, as the record block gives every live row one
+      length. Each run's output is the same in any lockstep batch
+      (`dynamics.run(games, configs)`).
 
     Batches are ordered by their first task. The grouping depends on the
     tasks alone, and on jobs only where it cannot change a byte.
     """
-    shared: dict[tuple[GameSpec, str], list[int]] = {}
-    rest = []
-    for i, (spec, _, out_dir) in enumerate(tasks):
-        if _shares_its_game(spec):
-            shared.setdefault((spec, out_dir), []).append(i)
-        else:
-            rest.append(i)
-    most = -(-len(rest) // max(jobs, 1))
-    batches = list(shared.values())
-    lockstep: list[list[int]] = []
-    for i in rest:
-        spec, config, out_dir = tasks[i]
-        if lockstep and len(lockstep[-1]) < most:
-            head_spec, head_config, head_dir = tasks[lockstep[-1][0]]
-            if (out_dir == head_dir
-                    and (spec.source, spec.num_agents, spec.num_actions)
-                    == (head_spec.source, head_spec.num_agents, head_spec.num_actions)
-                    and replace(config, seed=head_config.seed) == head_config
-                    and (len(lockstep[-1]) + 1) * lockstep_run_bytes(
-                        spec.num_agents, spec.num_actions, config.max_iters) <= LOCKSTEP_BYTES):
-                lockstep[-1].append(i)
-                continue
-        lockstep.append([i])
-    return sorted(batches + lockstep)
+    most = -(-sum(not _shares_its_game(spec) for spec, _, _ in tasks) // max(jobs, 1))
+    batches: list[list[int]] = []
+    last: dict[tuple, tuple[list[int], int]] = {}  # key -> (its last batch, longest max_iters)
+    for i, (spec, config, out_dir) in enumerate(tasks):
+        shared = _shares_its_game(spec)
+        key = (spec, out_dir) if shared else (out_dir, spec.num_agents, spec.num_actions)
+        batch, iters = last.get(key, (None, 0))
+        iters = max(iters, config.max_iters)
+        if batch is None or not shared and (
+                len(batch) == most
+                or (len(batch) + 1) * lockstep_run_bytes(spec.num_agents, spec.num_actions, iters)
+                > LOCKSTEP_BYTES):
+            batch, iters = [], config.max_iters
+            batches.append(batch)
+        batch.append(i)
+        last[key] = batch, iters
+    return batches
 
 
 RunResult = tuple[str, dict | None, str | None, dict[str, np.ndarray] | None]
@@ -341,7 +335,7 @@ def _execute_batch(batch: list[Task]) -> list[RunResult]:
     """
     configs = [config for _, config, _ in batch]
     spec = batch[0][0]
-    if len(batch) > 1 and all(other == spec for other, _, _ in batch):  # shared: one game
+    if _shares_its_game(spec):
         logs = run(spec.build(), configs)
     else:
         logs = run([spec.build() for spec, _, _ in batch], configs)
@@ -409,8 +403,14 @@ def run_experiment(
     """All (variant x game) runs, then one aggregate CSV per variant.
 
     Returns (basename, meta, error) per run. The aggregates average the
-    columns the runs return, which are the values their CSVs hold.
+    columns the runs return, which are the values their CSVs hold. A run's
+    files are named by its game's seed, so two game specs with one seed
+    raise ValueError before anything is written.
     """
+    seeds = [spec.seed for spec in game_specs]
+    if len(set(seeds)) < len(seeds):
+        repeated = next(seed for seed in seeds if seeds.count(seed) > 1)
+        raise ValueError(f"two game specs have seed {repeated}, which names their runs' files")
     os.makedirs(out_dir, exist_ok=True)
     tasks = []
     for variant in variants:

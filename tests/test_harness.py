@@ -216,16 +216,23 @@ class TestLockstepBatches:
         assert LOCKSTEP_BYTES // lockstep_run_bytes(5, 6, 100) == 16
         assert [len(b) for b in lockstep_batches(tasks)] == [16, 4]
 
-    @pytest.mark.parametrize("iters,sizes", [(200, [40]), (1000, [31, 9]), (100_000, [1] * 40)])
+    @pytest.mark.parametrize("iters,sizes", [
+        (200, [40]), (1000, [31, 9]), (100_000, [1] * 40),
+        pytest.param((200, 16_000), [2] * 20, id="200+16000-sizes3"),
+    ])
     def test_long_runs_share_the_budget_with_their_records(self, iters, sizes):
         # A run's record column (32 B per iterate) counts against the budget, so
         # a batch of long runs holds fewer runs and never more than the budget.
+        # The record block gives every row the longest run's length: two
+        # 16,000-step runs fill a batch, whatever shorter runs join them.
+        steps = iters if isinstance(iters, tuple) else (iters,)
         specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40)
-        config = RunConfig(method="npg", tau=0.1, max_iters=iters)
-        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
+        config = RunConfig(method="npg", tau=0.1)
+        tasks = [(spec, replace(config, seed=spec.seed, max_iters=steps[k % len(steps)]), "out")
+                 for k, spec in enumerate(specs)]
         assert [len(b) for b in lockstep_batches(tasks)] == sizes
         shared = [k for k in sizes if k > 1]  # one run alone may exceed the budget
-        assert all(k * lockstep_run_bytes(2, 10, iters) <= LOCKSTEP_BYTES for k in shared)
+        assert all(k * lockstep_run_bytes(2, 10, max(steps)) <= LOCKSTEP_BYTES for k in shared)
 
     @pytest.mark.parametrize("jobs,sizes", [(1, [40]), (2, [20, 20]), (3, [14, 14, 12])])
     def test_every_worker_gets_a_batch(self, jobs, sizes):
@@ -234,7 +241,7 @@ class TestLockstepBatches:
         tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
         assert [len(b) for b in lockstep_batches(tasks, jobs)] == sizes
 
-    def test_only_runs_of_one_variant_and_shape_share_a_batch(self):
+    def test_runs_of_one_shape_share_a_batch_whatever_their_config(self):
         config = RunConfig(method="npg", tau=0.1, max_iters=10)
         small = seeded_game_specs("identical", 2, 10, base_seed=1, runs=3)
         tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in small]
@@ -243,7 +250,44 @@ class TestLockstepBatches:
         tasks += [(GameSpec(source="file", path="g.pg", seed=s), config, "out") for s in (1, 2)]
         big = seeded_game_specs("identical", 4, 20, base_seed=1, runs=2)  # 1.28 MB each
         tasks += [(spec, replace(config, seed=spec.seed), "out") for spec in big]
-        assert [len(b) for b in lockstep_batches(tasks)] == [3, 3, 1, 1, 1, 1, 1]
+        assert [len(b) for b in lockstep_batches(tasks)] == [7, 1, 1, 1, 1]
+
+    def test_variants_of_one_small_game_keep_their_bytes_for_any_jobs(self, tmp_path):
+        # Both runs read one 2x10 spec. At --jobs 1 they share a lockstep batch,
+        # and at --jobs 2 each runs alone; a lockstep batch gives every run the
+        # bits of its run alone, so neither may take the shared (folded) form.
+        variants = [RunConfig(method="npg", tau=0.1, max_iters=300),
+                    RunConfig(method="mwu", max_iters=300)]
+        specs = [GameSpec(source="identical", num_agents=2, num_actions=10, seed=4)]
+        outputs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_experiment(str(out), specs, variants, jobs=jobs)
+            outputs[jobs] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert len(outputs[1]) == 2 * (3 + 1)
+        assert outputs[1] == outputs[2]
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        for variant in variants:
+            (result,) = execute_runs([(specs[0], replace(variant, seed=4), str(alone))])
+            assert result[2] is None
+            csv = str(alone / (run_basename(variant.method, variant.tau, 4) + ".csv"))
+            aggregate_csvs({csv: read_csv_columns(csv)},
+                           str(alone / (agg_basename(variant.method, variant.tau) + ".csv")))
+        assert outputs[1] == {f.name: f.read_bytes() for f in sorted(alone.iterdir())}
+
+    def test_two_specs_with_one_seed_raise_before_writing(self, tmp_path):
+        # Run files are named by the game's seed, so the second run would
+        # overwrite the first's files and the aggregate would average one run.
+        specs = []
+        for g in range(2):
+            path = str(tmp_path / f"g{g}.pg")
+            save_game(make_identical_interest(2, 3, seed=g), path)
+            specs.append(GameSpec(source="file", path=path, seed=0))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="seed 0"):
+            run_experiment(str(out), specs, [RunConfig(method="npg", tau=0.1, max_iters=20)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_batched_files_equal_runs_alone(self, tmp_path, jobs):

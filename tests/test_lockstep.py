@@ -63,6 +63,24 @@ def test_batch_matches_solo_runs(method, tau, kind, agents, actions, k):
     assert_same_as_solo(games, configs, run(games, configs))
 
 
+# Every run resolves its own eta and keeps its own tau, budget and stopping rule.
+MIXED = [
+    RunConfig(method="npg", tau=0.05, max_iters=400),
+    RunConfig(method="npg", tau=0.1, eta=0.3, max_iters=200),
+    RunConfig(method="npg", tau=0.2, max_iters=300, stop_qre_gap=1e-3),
+    RunConfig(method="mwu", max_iters=80),
+    RunConfig(method="pg_direct", max_iters=250),
+]
+
+
+@pytest.mark.parametrize("agents,actions", [(1, 3), (2, 10), (3, 4), (5, 6)])
+def test_mixed_configs_match_solo_runs(agents, actions):
+    # Identical and general games alternate, so each config meets both kinds.
+    games = [make("identical" if s % 2 else "general", agents, actions, 30 + s) for s in range(11)]
+    configs = [dataclasses.replace(MIXED[s % len(MIXED)], seed=30 + s) for s in range(11)]
+    assert_same_as_solo(games, configs, run(games, configs))
+
+
 def test_record_block_grows_past_its_first_chunk():
     steps = dynamics._RECORD_CHUNK + 300
     games, configs = batch("identical", 2, 3, 3, method="npg", tau=0.05, max_iters=steps)
@@ -141,10 +159,8 @@ def test_a_huge_budget_allocates_only_for_the_steps_taken():
     assert_same_as_solo(games, configs, results)
 
 
-def test_batch_needs_one_variant_and_one_shape():
+def test_batch_needs_one_shape():
     games, configs = batch("identical", 2, 3, 2, method="npg", tau=0.1, max_iters=5)
-    with pytest.raises(ValueError):
-        run(games, [configs[0], dataclasses.replace(configs[1], tau=0.2)])
     with pytest.raises(ValueError):
         run([games[0], make_identical_interest(2, 4, 1)], configs)
     with pytest.raises(ValueError):
