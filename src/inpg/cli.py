@@ -9,9 +9,10 @@ Examples:
 
 `run` and `audit` report the same five theorem checks (initial distance,
 Jeffrey sum, monotone, theorem1, sandwich). `run` exits 0 when every check
-passes, 1 when a check fails and 2 on misuse (bad flags or an unreadable game
-file); `audit` exits 0 or 1. All outputs are deterministic for fixed flags
-and base seed.
+passes, 1 when a check fails and 2 on misuse (bad flags, an unreadable game
+file or an --out that cannot be made); `generate` exits 2 on misuse too, and
+`audit` exits 0 or 1. All outputs are deterministic for fixed flags and base
+seed.
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ def _cmd_generate(args) -> int:
     maker = make_identical_interest if args.kind == "identical" else make_general_potential
     try:
         game = maker(args.agents, args.actions, args.seed)
-    except ValueError as exc:
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, ValueError) as exc:
         print(f"generate: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     base = f"game_{args.kind}_N{args.agents}_A{args.actions}_seed{args.seed}"
     game_path = os.path.join(args.out, base + ".pg")
     save_game(game, game_path)
@@ -108,6 +109,9 @@ def _cmd_run(args) -> int:
             raise ValueError("provide --game or both --agents and --actions")
         else:
             specs = seeded_game_specs(args.kind, args.agents, args.actions, args.seed, args.runs)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        os.makedirs(args.out, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2

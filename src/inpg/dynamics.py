@@ -23,6 +23,8 @@ array carries a leading batch axis K, and each numpy call serves all K runs.
 A lockstep batch (any runs on games of one shape, one game each) gives each run
 the bits of its solo run; a shared batch (any runs on one game) reads the game's
 potential once per step for all its runs, to within rounding of their solo runs.
+Every step reads its marginals from `metrics.marginal_sweep`, which decides how
+the sweep runs: which kernel, and which tiny probabilities it reads as 0.
 """
 
 from __future__ import annotations
@@ -54,16 +56,6 @@ METHODS = ("npg", "mwu", "pg_direct")
 
 # Largest per-step shortfall of phi_tau below J/(2 eta) that rounding can explain.
 MONOTONICITY_TOL = 1e-9
-
-# Probabilities below this enter the sweep as 0. Under small tau, npg drives some
-# log-probabilities into (-745, -708), where exp gives a subnormal and the sweep's
-# products take the CPU's slow path (about 3x the step time at 4x20). A dropped
-# term is below 1e-250 * max Phi while every sum it joins covers a whole opponent
-# distribution, so it is far below half an ulp and the sweep's bits do not move.
-# Only the sweep's input is cut: the policy, its logs, entropies and divergences
-# keep every value (an entropy term of a near-pure row can itself be tiny).
-SWEEP_PROB_CUT = 1e-250
-
 
 class ParameterError(ValueError):
     """Run configuration outside the algorithm's admissible range."""
@@ -194,14 +186,6 @@ class RunSummary:
     max_sandwich_slack: float
     stopped_early: bool
 
-    @property
-    def avg_ne_gap_final(self) -> float:
-        return self.sum_ne_gap / self.num_steps if self.num_steps else float("nan")
-
-    @property
-    def avg_qre_gap_final(self) -> float:
-        return self.sum_qre_gap / self.num_steps if self.num_steps else float("nan")
-
 
 @dataclass
 class IterateLog(RunSummary):
@@ -302,10 +286,10 @@ def run(
       one shape. Each row reads its own game's potential, and every result
       is bit-identical to the solo run's.
     - Shared: `run(game, configs)` with one game and any configs. The sweep
-      reads the game's single potential once for all the rows
-      (`_contract.fold_shared`). A row's bits can differ from its solo run's
-      by rounding, and they depend on the batch (the configs given), never
-      on anything else.
+      reads the game's single potential once for all the rows (while more
+      than one is live, `marginal_sweep` takes its shared kernel). A row's
+      bits can differ from its solo run's by rounding, and they depend on
+      the batch (the configs given), never on anything else.
 
     The loop records (phi_tau, ne_gap, qre_gap) of every iterate and the
     Jeffrey divergence of every step, 32 bytes per step and run, in a block
@@ -331,13 +315,6 @@ def run(
     if any(g.joint_shape != games[0].joint_shape for g in games):
         raise ValueError("a lockstep batch needs games of one shape")
     return _run_batch(games, configs, shared=False)
-
-
-def _sweep_input(probs: np.ndarray) -> np.ndarray:
-    """The policy rows the sweep reads: probabilities below SWEEP_PROB_CUT become 0."""
-    if np.minimum.reduce(probs, axis=None) >= SWEEP_PROB_CUT:  # one call where none is cut
-        return probs
-    return np.where(probs < SWEEP_PROB_CUT, 0.0, probs)
 
 
 # A batch orders its rows by method: the regularized rows first (they alone have
@@ -445,7 +422,7 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
         rows.append(_Row(c, game, config, eta, improvement_guaranteed(
             config.method, eta, config.tau, game.num_agents, game.phi_max)))
     batch = _Batch(rows)
-    if shared or k == 1:
+    if shared:
         potentials = games[0].potential[None]
     else:  # stacked in row order
         potentials = np.stack([row.game.potential for row in rows])
@@ -454,7 +431,7 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
     probs = np.exp(lp)
     # Undefined quantities (qre_gap at tau = 0, Jeffrey for pg_direct) stay NaN.
     rec = np.full((len(_ROWS), min(batch.top + 1, _RECORD_CHUNK), k), nan)
-    r, phi_mean = marginal_sweep(potentials, _sweep_input(probs))
+    r, phi_mean = marginal_sweep(potentials, probs)
     batch.record(rec, 0, r, phi_mean, lp, probs)
     for c, row in enumerate(rows):
         if row.config.tau > 0:
@@ -495,7 +472,7 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
                 potentials = potentials[keep]
             lp, probs, r, rec = lp[keep], probs[keep], r[keep], rec[:, :, keep]
         lp, probs = batch.step(rec, t, lp, probs, r)
-        r, phi_mean = marginal_sweep(potentials, _sweep_input(probs))
+        r, phi_mean = marginal_sweep(potentials, probs)
         if t + 1 == rec.shape[1]:  # grow, never past the longest run's max_iters + 1 iterates
             more = min(rec.shape[1], batch.top + 1 - rec.shape[1])
             rec = np.concatenate([rec, np.full((len(_ROWS), more, len(batch.rows)), nan)], axis=1)

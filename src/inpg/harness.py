@@ -117,9 +117,21 @@ def write_run_meta(log: IterateLog, path) -> None:
         f.write("\n")
 
 
+# The JSON types each RunSummary annotation admits in a meta file (null reads as NaN).
+_META_TYPES = {"str": (str,), "float": (float, int), "int": (int,), "bool": (bool,)}
+
+
 def read_run_meta(path) -> RunSummary:
+    """A meta file's RunSummary; ValueError names the file and any field of the wrong type."""
     with open(path) as f:
-        return summary_from_meta(json.load(f))
+        meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for f in fields(RunSummary):
+        value = meta.get(f.name)
+        if value is not None and type(value) not in _META_TYPES[f.type]:
+            raise ValueError(f"{path}: field {f.name!r} must be {f.type}, got {value!r}")
+    return summary_from_meta(meta)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +382,10 @@ def execute_runs(tasks: list[Task], jobs: int = 1) -> list[RunResult]:
     if jobs <= 1 or len(batches) <= 1 or _serial_seconds(tasks) < POOL_MIN_SECONDS:
         done = [_execute_batch(batch) for batch in work]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork the first submit starts every worker, so start no more than
+        # there are batches to run or cores to run them on.
+        workers = min(jobs, len(batches), len(os.sched_getaffinity(0)))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_execute_batch, work))
     results: list = [None] * len(tasks)
     for batch, batch_results in zip(batches, done):

@@ -3,11 +3,11 @@
 The marginalized utility r_i is agent i's expected payoff per own action with
 all opponents integrated out under the current policy. The dynamics compute
 every metric of a joint policy exactly from one sweep of the potential
-(`marginal_sweep`), whose rows equal r_i up to a constant per agent. The
-inner maximizations in the gaps have closed forms: a linear function over the
-simplex peaks at a vertex (NE-gap), and the entropy-regularized linear
-objective peaks at the softmax of r/tau with optimal value
-tau*logsumexp(r/tau) (QRE-gap).
+(`marginal_sweep`, which alone picks the sweep's kernel and its input cut),
+whose rows equal r_i up to a constant per agent. The inner maximizations in
+the gaps have closed forms: a linear function over the simplex peaks at a
+vertex (NE-gap), and the entropy-regularized linear objective peaks at the
+softmax of r/tau with optimal value tau*logsumexp(r/tau) (QRE-gap).
 """
 
 from __future__ import annotations
@@ -34,7 +34,15 @@ def marginal_sweep(potentials: np.ndarray, probs: np.ndarray) -> tuple[np.ndarra
     Row r[k, i] is run k's Phi with every agent but i integrated out: in a
     potential game it differs from agent i's marginalized utility by a
     constant, which the updates, the simplex projection and both gaps ignore.
+
+    This is the one place that decides how a sweep runs: probabilities below
+    `_contract.CUT` are read as 0, which keeps every bit (see CUT), and a single
+    potential under K > 1 policies takes `fold_shared`, anything else
+    `fold_all_agents`.
     """
+    cut = _contract.CUT
+    if not np.minimum.reduce(probs, axis=None) >= cut:  # one call where none is cut
+        probs = np.where(probs < cut, 0.0, probs)
     if len(potentials) == 1 < len(probs):
         return _contract.fold_shared(potentials[0], probs)
     return _contract.fold_all_agents(potentials, probs)

@@ -9,7 +9,6 @@ floored (at PROB_FLOOR) only when serialized for display.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +178,7 @@ def policy_from_csv(path_or_file) -> JointPolicy:
         text = path_or_file.read()
     rows = [
         [float(tok) for tok in line.split(",")]
-        for line in io.StringIO(text).read().splitlines()
+        for line in text.splitlines()
         if line.strip()
     ]
     return JointPolicy.from_probs(np.array(rows, dtype=np.float64))

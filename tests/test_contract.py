@@ -131,7 +131,7 @@ def test_shared_sweep_is_close_to_each_solo_sweep(monkeypatch, num_agents, num_a
                 np.testing.assert_allclose(marginals[k], solo_marginals[0], rtol=1e-13, atol=0)
                 np.testing.assert_allclose(means[k], solo_mean[0], rtol=1e-13, atol=0)
         with monkeypatch.context() as m:
-            m.setattr(_contract, "KRON_CUT", 0.0)
+            m.setattr(_contract, "CUT", 0.0)
             uncut = fold_shared(copies[0], probs)
         cut = fold_shared(copies[0], probs)
         assert np.array_equal(cut[0], uncut[0]) and np.array_equal(cut[1], uncut[1])

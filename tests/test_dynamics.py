@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inpg import dynamics
+from inpg import _contract, dynamics
 from inpg._contract import fold_all, fold_all_agents, fold_except
 from inpg.dynamics import (
     MonotonicityError,
@@ -206,7 +206,7 @@ class TestRun:
             assert log.avg_qre_gap[k] == pytest.approx(np.mean(log.qre_gap[1 : k + 1]), rel=1e-12)
             assert log.avg_ne_gap[k] == pytest.approx(np.mean(log.ne_gap[1 : k + 1]), rel=1e-12)
         assert log.avg_qre_gap[0] == log.qre_gap[0]
-        assert log.avg_qre_gap_final == pytest.approx(log.sum_qre_gap / log.num_steps)
+        assert log.avg_qre_gap[-1] == pytest.approx(log.sum_qre_gap / log.num_steps)
 
     def test_average_gap_bound_holds(self):
         game = make_identical_interest(3, 6, seed=9)
@@ -336,11 +336,31 @@ def test_sweep_cut_keeps_every_bit(monkeypatch):
     game = make_identical_interest(4, 20, 12)
     config = RunConfig(method="npg", tau=1e-4, max_iters=5000, seed=12)
     cut = run(game, config)
-    assert np.exp(cut.final_policy.log_probs).min() < dynamics.SWEEP_PROB_CUT
-    monkeypatch.setattr(dynamics, "SWEEP_PROB_CUT", 0.0)
+    assert np.exp(cut.final_policy.log_probs).min() < _contract.CUT
+    monkeypatch.setattr(_contract, "CUT", 0.0)
     whole = run(game, config)
     for name in vars(cut):
         a, b = getattr(cut, name), getattr(whole, name)
         if name == "final_policy":
             a, b = a.log_probs, b.log_probs
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("method", ["npg", "pg_direct"])
+def test_sweep_cut_keeps_every_bit_of_a_single_step(monkeypatch, method):
+    # npg_step and pg_direct_step sweep through marginal_sweep as run does, so
+    # their probabilities below the cut (one normal, two subnormal) enter it as 0.
+    game = make_general_potential(4, 6, seed=3)
+    logits = np.random.default_rng(3).normal(size=(4, 6))
+    logits[:, 1:4] = [-600.0, -715.0, -740.0]
+    policy = JointPolicy.from_logits(logits)
+    assert 0 < policy.probs.min() < np.finfo(float).tiny and np.sum(policy.probs < _contract.CUT) == 12
+
+    def step():
+        if method == "npg":
+            return npg_step(game, policy, eta=0.1, tau=0.01).log_probs
+        return pg_direct_step(game, policy, eta=0.05).log_probs
+
+    cut = step()
+    monkeypatch.setattr(_contract, "CUT", 0.0)
+    assert cut.tobytes() == step().tobytes()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -6,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from inpg import dynamics
 from inpg.cli import main as cli_main
 from inpg.dynamics import RunConfig, RunSummary, lockstep_run_bytes, run
 from inpg.game import PotentialGame, make_general_potential, make_identical_interest, save_game
@@ -422,6 +424,8 @@ def test_run_and_audit_report_the_same_checks(tmp_path, capsys):
     pytest.param(["--game", "{tmp}/nan.pg", "--tau", "0.1"], id="nan-entries"),
     pytest.param(["--game", "{tmp}/non_potential.pg", "--tau", "0.1"], id="non-potential"),
     pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--runs", "0"], id="runs-0"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--jobs", "0"], id="jobs-0"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--jobs", "-3"], id="jobs-negative"),
 ])
 def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
     (tmp_path / "bad.pg").write_bytes(b"NOTAGAME" + b"\x00" * 64)
@@ -449,6 +453,97 @@ def test_early_stopped_runs_aggregate_up_to_the_earliest_stop(tmp_path):
     assert len(set(stops)) == 3  # ragged iteration grids
     agg = read_csv_columns(out / "agg_npg_tau0.1.csv")
     assert agg["iter"].tolist() == list(range(min(stops) + 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--agents", "2", "--actions", "3", "--tau", "0.1"],
+    ["generate", "--agents", "2", "--actions", "3"],
+])
+def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(argv[0] + ": ")
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (lambda meta: {**meta, "num_steps": "x"}, "field 'num_steps' must be int"),
+    (lambda meta: [meta], "not a JSON object"),
+])
+def test_ill_typed_meta_file_fails_audit_in_one_line(tmp_path, capsys, corrupt, match):
+    out = str(tmp_path / "exp")
+    run_experiment(out, seeded_game_specs("identical", 2, 4, base_seed=5, runs=1),
+                   [RunConfig(method="npg", tau=0.2, max_iters=20)])
+    meta_path = os.path.join(out, "run_npg_tau0.2_seed5.meta.json")
+    meta = json.loads(open(meta_path).read())
+    with open(meta_path, "w") as f:
+        json.dump(corrupt(meta), f)
+    with pytest.raises(ValueError, match=match):
+        read_run_meta(meta_path)
+    assert cli_main(["audit", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("audit: ") and meta_path in err[0]
+
+
+def test_a_failing_run_leaves_no_files_and_the_others_aggregate(tmp_path, monkeypatch, capsys):
+    # test_runtime_monotone_gate_raises's descending sweep, on the second game's rows only:
+    # its gated run fails at t = 0 and the other two run as before.
+    specs = seeded_game_specs("identical", 2, 3, base_seed=1, runs=3)
+    bad = specs[1].build().potential
+    real_sweep = dynamics.marginal_sweep
+
+    def sweep(potentials, probs):
+        r, phi_mean = real_sweep(potentials, probs)
+        flip = np.array([np.array_equal(p, bad) for p in potentials])[:, None, None]
+        return np.where(flip, real_sweep(1.0 - potentials, probs)[0], r), phi_mean
+
+    monkeypatch.setattr(dynamics, "marginal_sweep", sweep)
+    out = tmp_path / "res"
+    results = run_experiment(str(out), specs, [RunConfig(method="npg", tau=0.1, max_iters=30)])
+    bases = [run_basename("npg", 0.1, spec.seed) for spec in specs]
+    assert [base for base, _, _ in results] == bases
+    assert [err is None for _, _, err in results] == [True, False, True]
+    assert "improvement check failed at t=0" in results[1][2]
+    assert not list(out.glob(bases[1] + ".*"))
+    kept = {str(out / (base + ".csv")): read_csv_columns(out / (base + ".csv"))
+            for base in (bases[0], bases[2])}
+    aggregate_csvs(kept, str(tmp_path / "agg.csv"))
+    assert (tmp_path / "agg.csv").read_bytes() == (out / "agg_npg_tau0.1.csv").read_bytes()
+    assert cli_main(["run", "--agents", "2", "--actions", "3", "--seed", "1", "--runs", "3",
+                     "--tau", "0.1", "--iters", "30", "--out", str(tmp_path / "cli")]) == 1
+    captured = capsys.readouterr()
+    assert f"{bases[1]}: FAILED check monotone: " in captured.out
+    assert captured.err.splitlines() == [f"FAILED: monotone ({bases[1]})"]
+
+
+def test_pool_starts_no_more_workers_than_batches(tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    tasks = []
+    for seed in range(3):  # a file game is a batch of its own and always takes the pool
+        path = str(tmp_path / f"g{seed}.pg")
+        save_game(make_identical_interest(2, 3, seed), path)
+        tasks.append((GameSpec(source="file", path=path, seed=seed),
+                      RunConfig(method="npg", tau=0.1, max_iters=5, seed=seed), str(tmp_path)))
+    results = execute_runs(tasks, jobs=10_000)
+    assert all(err is None for _, _, err, _ in results)
+    assert len(started) == 1 and 1 <= started[0] <= 3
 
 
 def test_generate_misuse_exits_2(tmp_path, capsys):

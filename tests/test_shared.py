@@ -122,14 +122,13 @@ def test_a_failing_row_returns_its_solo_error_and_the_others_go_on(monkeypatch):
 def test_sweep_cut_keeps_every_bit_of_a_shared_row(monkeypatch):
     # The shared-batch form of test_sweep_cut_keeps_every_bit: both rows reach
     # subnormal probabilities, and the Kronecker rows drop factors below
-    # KRON_CUT ** (1/3) well before that.
+    # CUT ** (1/3) well before that.
     game = make_identical_interest(4, 20, 12)
     configs = [RunConfig(method="npg", tau=1e-4, max_iters=5000, seed=12),
                RunConfig(method="npg", tau=1e-3, max_iters=5000, seed=12)]
     cut = run(game, configs)
-    assert np.exp(cut[0].final_policy.log_probs).min() < dynamics.SWEEP_PROB_CUT
-    monkeypatch.setattr(dynamics, "SWEEP_PROB_CUT", 0.0)
-    monkeypatch.setattr(_contract, "KRON_CUT", 0.0)
+    assert np.exp(cut[0].final_policy.log_probs).min() < _contract.CUT
+    monkeypatch.setattr(_contract, "CUT", 0.0)
     for got, whole in zip(cut, run(game, configs)):
         for name in vars(got):
             a, b = getattr(got, name), getattr(whole, name)
