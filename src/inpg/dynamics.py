@@ -139,6 +139,8 @@ class RunConfig:
             raise ParameterError(f"{self.method} is unregularized; tau must be 0")
         if self.max_iters < 0:
             raise ParameterError("max_iters must be nonnegative")
+        if self.stop_qre_gap is not None and not 0.0 <= self.stop_qre_gap < math.inf:
+            raise ParameterError(f"stop_qre_gap must be finite and >= 0, got {self.stop_qre_gap!r}")
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ParameterError(f"eta must be a positive float or 'auto', got {self.eta!r}")
@@ -258,12 +260,7 @@ def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
 # Rows of a batch's record block (rows, iterates, runs). Row t of the per-step
 # row belongs to the step that leaves iterate t.
 _PHI_TAU, _NE, _QRE, _JEFFREY = _ROWS = range(4)
-_RECORD_CHUNK = 1024  # iterates a record block holds before it first doubles
-
-
-def lockstep_run_bytes(num_agents: int, num_actions: int, max_iters: int) -> int:
-    """Bytes one run adds to a lockstep batch: its potential and its full record column."""
-    return 8 * num_actions**num_agents + 8 * len(_ROWS) * (max_iters + 1)
+_RECORD_CHUNK = 1024  # most iterates a record block holds; a full block is folded
 
 
 def run(
@@ -293,11 +290,10 @@ def run(
 
     The loop records (phi_tau, ne_gap, qre_gap) of every iterate and the
     Jeffrey divergence of every step, 32 bytes per step and run, in a block
-    that grows with the steps taken up to max_iters + 1 iterates
-    (lockstep_run_bytes counts a run's share in full). The summary scalars,
-    running averages and logged rows are all derived from that record after
-    the loop. Logged rows: every iterate through 1000, every 10th after, and
-    the last.
+    of at most _RECORD_CHUNK iterates. A full block is folded into each run's
+    running sums, minima, maxima and logged rows, so a run holds its logged
+    rows and not its trajectory. Logged rows: every iterate through 1000,
+    every 10th after, and the last.
     """
     if isinstance(game, PotentialGame):
         if isinstance(config, RunConfig):
@@ -324,7 +320,7 @@ _METHOD_ORDER = {"npg": 0, "mwu": 1, "pg_direct": 2}
 
 @dataclass
 class _Row:
-    """One run of a batch and what the loop needs of it."""
+    """One run of a batch, what the loop needs of it, and its record folded so far."""
 
     index: int  # position in the caller's configs
     game: PotentialGame
@@ -332,6 +328,77 @@ class _Row:
     eta: float
     mono_enabled: bool
     d0: float = math.nan
+
+    def __post_init__(self):
+        # Sums run over iterates 1..t, minima and maxima over 0..t. A quantity the method
+        # leaves undefined is NaN and sums from NaN, so NaN carries into all of them.
+        self.sum_ne_gap = 0.0
+        self.sum_qre_gap = 0.0 if self.config.tau > 0 else math.nan
+        # The Jeffrey sum's start, and the J logged at iterate T.
+        self.no_step = math.nan if self.config.method == "pg_direct" else 0.0
+        self.sum_jeffrey = self.no_step
+        self.min_ne_gap = self.min_qre_gap = math.inf
+        self.max_sandwich_slack = -math.inf
+        # fmin skips NaN, as a running min(min_slack, slack) from +inf does.
+        self.min_monotonicity_slack = math.inf if self.mono_enabled else math.nan
+        self.logged: list[tuple] = []  # per fold: iters, then the IterateLog columns
+
+    def fold(self, block: np.ndarray, first: int, last: bool = False) -> None:
+        """Fold record columns (rows, iterates first, first + 1, ...) into the run's state.
+
+        Every column but the last is folded, and the last too when the run ends
+        there; the last column's phi_tau serves the slack of the step before
+        it. Every sum adds left to right from its carried value, as one
+        _running_sums over the whole record would.
+        """
+        n = block.shape[1] - (not last)
+        phi, ne, qre = (block[row, :n] for row in (_PHI_TAU, _NE, _QRE))
+        jeffrey = block[_JEFFREY, : block.shape[1] - 1]
+        if self.mono_enabled:
+            slack = block[_PHI_TAU, 1:] - block[_PHI_TAU, :-1] - jeffrey / (2.0 * self.eta)
+            self.min_monotonicity_slack = float(
+                np.fmin.reduce(slack, initial=self.min_monotonicity_slack))
+        skip = int(first == 0)  # iterate 0 starts no sum
+        ne_sums = _running_sums(self.sum_ne_gap, ne[skip:])
+        qre_sums = _running_sums(self.sum_qre_gap, qre[skip:])
+        self.sum_ne_gap, self.sum_qre_gap = float(ne_sums[-1]), float(qre_sums[-1])
+        self.sum_jeffrey = float(_running_sums(self.sum_jeffrey, jeffrey)[-1])
+        self.min_ne_gap = float(np.min(ne, initial=self.min_ne_gap))
+        self.min_qre_gap = float(np.min(qre, initial=self.min_qre_gap))
+        gap = self.config.tau * math.log(self.game.num_actions)  # the sandwich's width
+        self.max_sandwich_slack = float(np.max(ne - qre - gap, initial=self.max_sandwich_slack))
+        iters = np.arange(first, first + n)
+        at = (iters <= 1000) | (iters % 10 == 0)
+        at[-1] |= last
+        at = np.flatnonzero(at)
+        jeffrey_rows = block[_JEFFREY, at]
+        if last:
+            jeffrey_rows[-1] = self.no_step  # no step leaves iterate T
+        self.logged.append((iters[at], phi[at], ne[at], qre[at], jeffrey_rows,
+                            ne_sums[at + 1 - skip], qre_sums[at + 1 - skip]))
+
+    def finish(self, block: np.ndarray, first: int, stopped_early: bool,
+               lp: np.ndarray) -> IterateLog:
+        """The run's IterateLog: folds the rest of its record (iterates first..T) and
+        takes its final policy lp."""
+        self.fold(block, first, last=True)
+        iters, phi_tau, ne, qre, jeffrey, ne_sums, qre_sums = (
+            c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*self.logged))
+        self.logged.clear()  # the row outlives its run in the batch's list
+        game, config = self.game, self.config
+        return IterateLog(
+            method=config.method, tau=config.tau, eta=self.eta, seed=config.seed,
+            num_agents=game.num_agents, num_actions=game.num_actions, phi_max=game.phi_max,
+            game_kind=game.kind, game_seed=game.seed, num_steps=int(iters[-1]),
+            iters=iters, phi_tau=phi_tau, ne_gap=ne, qre_gap=qre, jeffrey_step=jeffrey,
+            avg_ne_gap=np.where(iters > 0, ne_sums / np.maximum(iters, 1), ne[0]),
+            avg_qre_gap=np.where(iters > 0, qre_sums / np.maximum(iters, 1), qre[0]),
+            phi_tau_initial=float(phi_tau[0]), phi_tau_final=float(phi_tau[-1]),
+            sum_ne_gap=self.sum_ne_gap, sum_qre_gap=self.sum_qre_gap, min_ne_gap=self.min_ne_gap,
+            min_qre_gap=self.min_qre_gap, sum_jeffrey=self.sum_jeffrey,
+            initial_br_log_distance=self.d0, min_monotonicity_slack=self.min_monotonicity_slack,
+            max_sandwich_slack=self.max_sandwich_slack, stopped_early=stopped_early,
+            final_policy=JointPolicy(lp.copy()))
 
 
 def _per_row(values: list[float], trailing: int):
@@ -369,46 +436,45 @@ class _Batch:
         # A row without a stopping rule never stops: no gap is <= -inf.
         self.stop = None if all(s is None for s in stops) else np.array(
             [-math.inf if s is None else s for s in stops])
-        self.top = max(row.config.max_iters for row in rows)
         self.end = min(row.config.max_iters for row in rows)  # the first iterate a row ends at
 
-    def step(self, rec: np.ndarray, t: int, lp, probs, r) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's new (log_probs, probs); writes the Jeffrey divergence of step t."""
+    def step(self, rec: np.ndarray, j: int, lp, probs, r) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's new (log_probs, probs); writes the Jeffrey divergence into block column j."""
         n = self.n_upd
         if n == 0:
             return step_update("pg_direct", lp, probs, r, self.eta_pg, 0.0)
         if n == len(lp):
             new_lp, new_probs = step_update("npg", lp, probs, r, self.eta_upd, self.tau_upd)
-            rec[_JEFFREY, t] = jeffrey_logs(new_probs, new_lp, probs, lp)
+            rec[_JEFFREY, j] = jeffrey_logs(new_probs, new_lp, probs, lp)
             return new_lp, new_probs
         new_lp, new_probs = np.empty_like(lp), np.empty_like(probs)
         new_lp[:n], new_probs[:n] = step_update(
             "npg", lp[:n], probs[:n], r[:n], self.eta_upd, self.tau_upd)
         new_lp[n:], new_probs[n:] = step_update(
             "pg_direct", lp[n:], probs[n:], r[n:], self.eta_pg, 0.0)
-        rec[_JEFFREY, t, :n] = jeffrey_logs(new_probs[:n], new_lp[:n], probs[:n], lp[:n])
+        rec[_JEFFREY, j, :n] = jeffrey_logs(new_probs[:n], new_lp[:n], probs[:n], lp[:n])
         return new_lp, new_probs
 
-    def record(self, rec: np.ndarray, t: int, r, phi_mean, lp, probs) -> None:
-        """Write iterate t's phi_tau and gaps, one column per row, into the record block.
+    def record(self, rec: np.ndarray, j: int, r, phi_mean, lp, probs) -> None:
+        """Write an iterate's phi_tau and gaps into block column j, one entry per row.
 
         Per-step reductions call the ufunc's reduce, the routine ndarray.max and
         ndarray.sum wrap in Python: same bits, less overhead per call.
         """
         values = policy_values(r, probs)  # shared by both gaps
         best = np.maximum.reduce(r, axis=-1)
-        rec[_NE, t] = np.maximum.reduce(ne_gap_terms(best, values), axis=-1)
+        rec[_NE, j] = np.maximum.reduce(ne_gap_terms(best, values), axis=-1)
         n = self.n_reg
         if n == 0:
-            rec[_PHI_TAU, t] = phi_mean
+            rec[_PHI_TAU, j] = phi_mean
             return
         if n < len(r):  # the unregularized rows: phi_tau is the expected potential
-            rec[_PHI_TAU, t, n:] = phi_mean[n:]
+            rec[_PHI_TAU, j, n:] = phi_mean[n:]
             r, phi_mean, lp, probs, values, best = (
                 r[:n], phi_mean[:n], lp[:n], probs[:n], values[:n], best[:n])
         h = row_entropies(probs, lp)  # shared by phi_tau and the qre gap
-        rec[_PHI_TAU, t, :n] = phi_mean + self.tau_phi * np.add.reduce(h, axis=-1)
-        rec[_QRE, t, :n] = np.maximum.reduce(qre_gap_terms(r, best, values, h, self.tau_gap), axis=-1)
+        rec[_PHI_TAU, j, :n] = phi_mean + self.tau_phi * np.add.reduce(h, axis=-1)
+        rec[_QRE, j, :n] = np.maximum.reduce(qre_gap_terms(r, best, values, h, self.tau_gap), axis=-1)
 
 
 def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], shared: bool) -> list:
@@ -429,8 +495,10 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
     head = games[0]
     lp = np.full((k, head.num_agents, head.num_actions), -math.log(head.num_actions))
     probs = np.exp(lp)
-    # Undefined quantities (qre_gap at tau = 0, Jeffrey for pg_direct) stay NaN.
-    rec = np.full((len(_ROWS), min(batch.top + 1, _RECORD_CHUNK), k), nan)
+    # Undefined quantities (qre_gap at tau = 0, Jeffrey for pg_direct) stay NaN:
+    # nothing writes them, in this block or after a fold.
+    rec = np.full((len(_ROWS), min(max(c.max_iters for c in configs) + 1, _RECORD_CHUNK), k), nan)
+    base = 0  # the iterate in the block's column 0
     r, phi_mean = marginal_sweep(potentials, probs)
     batch.record(rec, 0, r, phi_mean, lp, probs)
     for c, row in enumerate(rows):
@@ -438,30 +506,30 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
             row.d0 = best_response_log_distance(lp[c], r[c], row.config.tau)
     results: list = [None] * k
 
-    def finish(col: int, steps: int, stopped_early: bool) -> None:
+    def finish(col: int, stopped_early: bool) -> None:
         row = batch.rows[col]
-        results[row.index] = _iterate_log(row.game, row.config, row.eta, rec[:, : steps + 1, col],
-                                          row.d0, row.mono_enabled, stopped_early, lp[col])
+        results[row.index] = row.finish(rec[:, : j + 1, col], base, stopped_early, lp[col])
 
     t = 0  # every live row is at iterate t
     while True:
+        j = t - base
         leave = set()
         if batch.gated and t:  # in Python floats, as cheap as a solo run's check at K = 1
-            (before, after), jeffrey = rec[_PHI_TAU, t - 1 : t + 1].tolist(), rec[_JEFFREY, t - 1].tolist()
+            (before, after), jeffrey = rec[_PHI_TAU, j - 1 : j + 1].tolist(), rec[_JEFFREY, j - 1].tolist()
             for c, two_eta in batch.gated:
                 if after[c] - before[c] - jeffrey[c] / two_eta < -MONOTONICITY_TOL:
                     results[batch.rows[c].index] = MonotonicityError(
                         t - 1, before[c], after[c], jeffrey[c])
                     leave.add(c)
         if batch.stop is not None and t:
-            for c in np.flatnonzero(rec[_QRE, t] <= batch.stop).tolist():  # NaN if tau = 0
+            for c in np.flatnonzero(rec[_QRE, j] <= batch.stop).tolist():  # NaN if tau = 0
                 if c not in leave:  # a failing row reports its failure, as its solo run raises
-                    finish(c, t, True)
+                    finish(c, True)
                     leave.add(c)
         if t == batch.end:
             for c, row in enumerate(batch.rows):
                 if row.config.max_iters == t and c not in leave:
-                    finish(c, t, False)
+                    finish(c, False)
                     leave.add(c)
         if leave:
             keep = np.array([c not in leave for c in range(len(batch.rows))])
@@ -471,70 +539,14 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
             if len(potentials) > 1:
                 potentials = potentials[keep]
             lp, probs, r, rec = lp[keep], probs[keep], r[keep], rec[:, :, keep]
-        lp, probs = batch.step(rec, t, lp, probs, r)
+        lp, probs = batch.step(rec, j, lp, probs, r)
         r, phi_mean = marginal_sweep(potentials, probs)
-        if t + 1 == rec.shape[1]:  # grow, never past the longest run's max_iters + 1 iterates
-            more = min(rec.shape[1], batch.top + 1 - rec.shape[1])
-            rec = np.concatenate([rec, np.full((len(_ROWS), more, len(batch.rows)), nan)], axis=1)
+        if j + 1 == rec.shape[1]:  # full: fold all but iterate t, which the next gate reads
+            for c, row in enumerate(batch.rows):
+                row.fold(rec[:, :, c], base)
+            rec[:, 0], base = rec[:, -1], t
         t += 1
-        batch.record(rec, t, r, phi_mean, lp, probs)
-
-
-def _iterate_log(game: PotentialGame, config: RunConfig, eta: float, rec: np.ndarray, d0: float,
-                 mono_enabled: bool, stopped_early: bool, lp: np.ndarray) -> IterateLog:
-    """One run's IterateLog from its record column rec (rows, iterates 0..T) and final policy."""
-    tau = config.tau
-    track_jeffrey = config.method != "pg_direct"
-    nan = float("nan")
-    steps = rec.shape[1] - 1
-    phi_tau, ne, qre = (np.array(rec[row]) for row in (_PHI_TAU, _NE, _QRE))
-    jeffrey = np.array(rec[_JEFFREY, :steps])
-    min_slack = nan
-    if mono_enabled:
-        # The gate's slack of every step; fmin skips NaN, as a running
-        # min(min_slack, slack) from +inf does.
-        slack = phi_tau[1:] - phi_tau[:-1] - jeffrey / (2.0 * eta)
-        min_slack = float(np.fmin.reduce(slack, initial=math.inf))
-    iters = np.arange(steps + 1)
-    iters = iters[(iters <= 1000) | (iters % 10 == 0) | (iters == steps)]
-    # Running sums over iterates 1..t. A quantity this method leaves undefined is
-    # NaN and sums from NaN, so NaN carries into its sum, averages, min and max.
-    ne_sums = _running_sums(0.0, ne[1:])
-    qre_sums = _running_sums(0.0 if tau > 0 else nan, qre[1:])
-    no_step = 0.0 if track_jeffrey else nan  # the Jeffrey sum's start; no step leaves iterate T
-    jeffrey_rows = np.full(len(iters), no_step)
-    jeffrey_rows[:-1] = jeffrey[iters[:-1]]
-    return IterateLog(
-        method=config.method,
-        tau=tau,
-        eta=eta,
-        seed=config.seed,
-        num_agents=game.num_agents,
-        num_actions=game.num_actions,
-        phi_max=game.phi_max,
-        game_kind=game.kind,
-        game_seed=game.seed,
-        num_steps=steps,
-        iters=iters,
-        phi_tau=phi_tau[iters],
-        ne_gap=ne[iters],
-        qre_gap=qre[iters],
-        jeffrey_step=jeffrey_rows,
-        avg_ne_gap=np.where(iters > 0, ne_sums[iters] / np.maximum(iters, 1), ne[0]),
-        avg_qre_gap=np.where(iters > 0, qre_sums[iters] / np.maximum(iters, 1), qre[0]),
-        phi_tau_initial=float(phi_tau[0]),
-        phi_tau_final=float(phi_tau[-1]),
-        sum_ne_gap=float(ne_sums[-1]),
-        sum_qre_gap=float(qre_sums[-1]),
-        min_ne_gap=float(np.min(ne)),
-        min_qre_gap=float(np.min(qre)),
-        sum_jeffrey=float(_running_sums(no_step, jeffrey)[-1]),
-        initial_br_log_distance=d0,
-        min_monotonicity_slack=min_slack,
-        max_sandwich_slack=float(np.max(ne - qre - tau * math.log(game.num_actions))),
-        stopped_early=stopped_early,
-        final_policy=JointPolicy(lp.copy()),
-    )
+        batch.record(rec, t - base, r, phi_mean, lp, probs)
 
 
 def theorem_average_gap_sides(log: RunSummary) -> tuple[float, float] | None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _contract
-from .rng import beta_half_half, uniform_array
+from .rng import beta_half_half, check_seed, uniform_array
 
 DEFAULT_DENSE_CAP = 2**24
 MAX_AGENTS = 64  # numpy's limit on the number of array dimensions
@@ -61,6 +61,7 @@ class PotentialGame:
         if self.dummies and (len(self.dummies) != self.num_agents
                              or any(c.shape != shape[1:] for c in self.dummies)):
             raise ValueError(f"need no dummy terms or {self.num_agents} of shape {shape[1:]}")
+        check_seed(self.seed)
         for t in (self.potential, *self.dummies):
             t.setflags(write=False)
 

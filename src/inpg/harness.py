@@ -34,7 +34,6 @@ from .dynamics import (
     improvement_guaranteed,
     initial_distance_bound_sides,
     jeffrey_sum_sides,
-    lockstep_run_bytes,
     predicted_iterations,
     run,
     theorem_average_gap_sides,
@@ -104,11 +103,10 @@ def meta_from_log(log: RunSummary) -> dict:
 
 
 def summary_from_meta(meta: dict) -> RunSummary:
-    """Inverse of meta_from_log; a missing or null field reads as NaN."""
+    """Inverse of meta_from_log; a null field reads as NaN."""
     nan = float("nan")
-    return RunSummary(**{
-        f.name: (nan if meta.get(f.name) is None else meta[f.name]) for f in fields(RunSummary)
-    })
+    return RunSummary(**{f.name: nan if meta[f.name] is None else meta[f.name]
+                         for f in fields(RunSummary)})
 
 
 def write_run_meta(log: IterateLog, path) -> None:
@@ -122,13 +120,18 @@ _META_TYPES = {"str": (str,), "float": (float, int), "int": (int,), "bool": (boo
 
 
 def read_run_meta(path) -> RunSummary:
-    """A meta file's RunSummary; ValueError names the file and any field of the wrong type."""
+    """A meta file's RunSummary; ValueError names the file and the first fault in it."""
     with open(path) as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: not a JSON object")
     for f in fields(RunSummary):
-        value = meta.get(f.name)
+        if f.name not in meta:
+            raise ValueError(f"{path}: field {f.name!r} is missing")
+        value = meta[f.name]
         if value is not None and type(value) not in _META_TYPES[f.type]:
             raise ValueError(f"{path}: field {f.name!r} must be {f.type}, got {value!r}")
     return summary_from_meta(meta)
@@ -264,10 +267,9 @@ class GameSpec:
         return load_game(self.path)
 
 
-# Most bytes one lockstep batch may hold: its stacked potentials, which the
-# sweep reads every step, and its record block (dynamics.lockstep_run_bytes),
-# so a batch of long runs cannot grow without bound. Half of a core's 2 MiB L2,
-# so the stack and the sweep's prefix tensors stay in cache. On a 2-core Xeon
+# Most bytes of stacked potentials, which the sweep reads every step, one
+# lockstep batch may hold; a run's length does not count. Half of a core's 2 MiB
+# L2, so the stack and the sweep's prefix tensors stay in cache. On a 2-core Xeon
 # at one BLAS thread, 200-step batches up to the budget beat the same runs alone
 # (5x6 at K=15 in 0.19 of the time, 3x30 at K=4 in 0.50, 4x15 and 6x6 at K=2
 # in 0.75 and 0.78), and two stacked 4x20 games (2.6 MB) took 1.13 times as long.
@@ -308,31 +310,26 @@ def lockstep_batches(tasks: list[Task], jobs: int = 1) -> list[list[int]]:
       that share its game, so such a batch is never split.
     - Lockstep: otherwise the key is the directory and the game's (N, A). A
       task starts a new batch when the last one holds ceil(lockstep tasks /
-      jobs) tasks, so that every worker gets a batch, or when it would take
-      that batch past LOCKSTEP_BYTES: its size times the lockstep_run_bytes
-      of its longest max_iters, as the record block gives every live row one
-      length. Each run's output is the same in any lockstep batch
-      (`dynamics.run(games, configs)`).
+      jobs) tasks, so that every worker gets a batch, or when its potential
+      would take the batch's potentials past LOCKSTEP_BYTES. Each run's output
+      is the same in any lockstep batch (`dynamics.run(games, configs)`).
 
     Batches are ordered by their first task. The grouping depends on the
     tasks alone, and on jobs only where it cannot change a byte.
     """
     most = -(-sum(not _shares_its_game(spec) for spec, _, _ in tasks) // max(jobs, 1))
     batches: list[list[int]] = []
-    last: dict[tuple, tuple[list[int], int]] = {}  # key -> (its last batch, longest max_iters)
-    for i, (spec, config, out_dir) in enumerate(tasks):
+    last: dict[tuple, list[int]] = {}  # key -> its last batch
+    for i, (spec, _, out_dir) in enumerate(tasks):
         shared = _shares_its_game(spec)
         key = (spec, out_dir) if shared else (out_dir, spec.num_agents, spec.num_actions)
-        batch, iters = last.get(key, (None, 0))
-        iters = max(iters, config.max_iters)
+        batch = last.get(key)
         if batch is None or not shared and (
                 len(batch) == most
-                or (len(batch) + 1) * lockstep_run_bytes(spec.num_agents, spec.num_actions, iters)
-                > LOCKSTEP_BYTES):
-            batch, iters = [], config.max_iters
+                or (len(batch) + 1) * 8 * spec.num_actions**spec.num_agents > LOCKSTEP_BYTES):
+            batch = last[key] = []
             batches.append(batch)
         batch.append(i)
-        last[key] = batch, iters
     return batches
 
 

@@ -72,10 +72,18 @@ def beta_half_half(u: np.ndarray) -> np.ndarray:
     return np.sin(0.5 * np.pi * u) ** 2
 
 
+def check_seed(seed: int) -> int:
+    """The seed itself; ValueError unless it is in [0, 2^64), the seeds a game file stores."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def run_seed(base_seed: int, index: int) -> int:
     """Seed for the index-th run of an experiment: base_seed + index (mod 2^64).
 
-    Nearby seeds yield decorrelated streams because the generator mixes
-    seed + counter*gamma before output.
+    base_seed must itself be a seed (check_seed). Nearby seeds yield
+    decorrelated streams because the generator mixes seed + counter*gamma
+    before output.
     """
-    return (base_seed + index) & _MASK64
+    return (check_seed(base_seed) + index) & _MASK64

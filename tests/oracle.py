@@ -14,8 +14,8 @@ import itertools
 
 import numpy as np
 
-from .game import PotentialGame, expected_utility
-from .policy import JointPolicy, SoftmaxParams, entropy, softmax
+from inpg.game import PotentialGame, expected_utility
+from inpg.policy import JointPolicy, SoftmaxParams, entropy, softmax
 
 ORACLE_MAX_AGENTS = 3
 ORACLE_MAX_ACTIONS = 16

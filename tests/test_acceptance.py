@@ -33,13 +33,6 @@ from inpg.metrics import (
     qre_gap,
     qre_gap_terms,
 )
-from inpg.oracle import (
-    analytic_theta_gradient,
-    fd_theta_gradient,
-    fisher_npg_step,
-    grid_gap,
-    naive_marginal,
-)
 from inpg.policy import (
     JointPolicy,
     SoftmaxParams,
@@ -49,6 +42,14 @@ from inpg.policy import (
     row_entropies,
     softmax,
     uniform_policy,
+)
+
+from oracle import (
+    analytic_theta_gradient,
+    fd_theta_gradient,
+    fisher_npg_step,
+    grid_gap,
+    naive_marginal,
 )
 
 BASE_SEED = 7

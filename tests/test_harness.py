@@ -9,7 +9,7 @@ import pytest
 
 from inpg import dynamics
 from inpg.cli import main as cli_main
-from inpg.dynamics import RunConfig, RunSummary, lockstep_run_bytes, run
+from inpg.dynamics import RunConfig, RunSummary, run
 from inpg.game import PotentialGame, make_general_potential, make_identical_interest, save_game
 from inpg.harness import (
     CSV_COLUMNS,
@@ -215,26 +215,18 @@ class TestLockstepBatches:
         specs = seeded_game_specs("identical", 5, 6, base_seed=1, runs=20)
         config = RunConfig(method="npg", tau=0.1, max_iters=100)
         tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
-        assert LOCKSTEP_BYTES // lockstep_run_bytes(5, 6, 100) == 16
+        assert LOCKSTEP_BYTES // (8 * 6**5) == 16
         assert [len(b) for b in lockstep_batches(tasks)] == [16, 4]
 
-    @pytest.mark.parametrize("iters,sizes", [
-        (200, [40]), (1000, [31, 9]), (100_000, [1] * 40),
-        pytest.param((200, 16_000), [2] * 20, id="200+16000-sizes3"),
-    ])
-    def test_long_runs_share_the_budget_with_their_records(self, iters, sizes):
-        # A run's record column (32 B per iterate) counts against the budget, so
-        # a batch of long runs holds fewer runs and never more than the budget.
-        # The record block gives every row the longest run's length: two
-        # 16,000-step runs fill a batch, whatever shorter runs join them.
-        steps = iters if isinstance(iters, tuple) else (iters,)
+    @pytest.mark.parametrize("steps", [(40_000,), (200, 16_000)], ids=["40000", "200+16000"])
+    def test_long_runs_batch_by_their_potentials_alone(self, steps):
+        # A run's record keeps a fixed size whatever its length, so only the
+        # potentials count: forty 800-byte 2x10 potentials fit one batch.
         specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40)
         config = RunConfig(method="npg", tau=0.1)
         tasks = [(spec, replace(config, seed=spec.seed, max_iters=steps[k % len(steps)]), "out")
                  for k, spec in enumerate(specs)]
-        assert [len(b) for b in lockstep_batches(tasks)] == sizes
-        shared = [k for k in sizes if k > 1]  # one run alone may exceed the budget
-        assert all(k * lockstep_run_bytes(2, 10, max(steps)) <= LOCKSTEP_BYTES for k in shared)
+        assert [len(b) for b in lockstep_batches(tasks)] == [40]
 
     @pytest.mark.parametrize("jobs,sizes", [(1, [40]), (2, [20, 20]), (3, [14, 14, 12])])
     def test_every_worker_gets_a_batch(self, jobs, sizes):
@@ -426,6 +418,13 @@ def test_run_and_audit_report_the_same_checks(tmp_path, capsys):
     pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--runs", "0"], id="runs-0"),
     pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--jobs", "0"], id="jobs-0"),
     pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--jobs", "-3"], id="jobs-negative"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--seed", "-1"], id="seed-negative"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--seed", str(2**64)],
+                 id="seed-2**64"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--stop-qre-gap", "nan"],
+                 id="stop-nan"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--stop-qre-gap", "-1"],
+                 id="stop-negative"),
 ])
 def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
     (tmp_path / "bad.pg").write_bytes(b"NOTAGAME" + b"\x00" * 64)
@@ -482,6 +481,27 @@ def test_ill_typed_meta_file_fails_audit_in_one_line(tmp_path, capsys, corrupt, 
         json.dump(corrupt(meta), f)
     with pytest.raises(ValueError, match=match):
         read_run_meta(meta_path)
+    assert cli_main(["audit", "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("audit: ") and meta_path in err[0]
+
+
+@pytest.mark.parametrize("text,match", [
+    pytest.param(lambda meta: json.dumps({k: v for k, v in meta.items() if k != "method"}),
+                 "field 'method' is missing", id="missing-field"),
+    pytest.param(lambda meta: "{", "not JSON", id="truncated"),
+])
+def test_broken_meta_file_fails_audit_naming_it(tmp_path, capsys, text, match):
+    out = str(tmp_path / "exp")
+    run_experiment(out, seeded_game_specs("identical", 2, 4, base_seed=5, runs=1),
+                   [RunConfig(method="npg", tau=0.2, max_iters=20)])
+    meta_path = os.path.join(out, "run_npg_tau0.2_seed5.meta.json")
+    meta = json.loads(open(meta_path).read())
+    with open(meta_path, "w") as f:
+        f.write(text(meta))
+    with pytest.raises(ValueError, match=match) as exc:
+        read_run_meta(meta_path)
+    assert meta_path in str(exc.value)
     assert cli_main(["audit", "--out", out]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("audit: ") and meta_path in err[0]
@@ -548,9 +568,13 @@ def test_pool_starts_no_more_workers_than_batches(tmp_path, monkeypatch):
 
 def test_generate_misuse_exits_2(tmp_path, capsys):
     out = tmp_path / "games"
-    assert cli_main(["generate", "--agents", "30", "--actions", "20", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("generate: ")
-    assert not out.exists()
+    for argv in (["--agents", "30", "--actions", "20"],
+                 ["--agents", "2", "--actions", "3", "--seed", "-5"],
+                 ["--agents", "2", "--actions", "3", "--seed", str(2**64)]):
+        assert cli_main(["generate", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("generate: ")
+        assert not out.exists()
 
 
 class TestCli:

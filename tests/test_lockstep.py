@@ -104,6 +104,40 @@ def test_record_block_stops_growing_at_max_iters():
     assert peaks[1] < peaks[0] + 2**19
 
 
+def test_rows_that_cross_two_folds_match_their_runs_alone(monkeypatch):
+    # A 2,500-step run's record block fills, and is folded, at iterates 1,023 and
+    # 2,046; the stopping row leaves in the third block. Each run alone below
+    # holds its whole record in one block, so the folds must give the bits of a
+    # record never folded.
+    games = [make_identical_interest(2, 10, 11 + s) for s in range(4)]
+    configs = [RunConfig(method="npg", tau=0.01, max_iters=2500, stop_qre_gap=1e-8, seed=11),
+               RunConfig(method="npg", tau=0.1, max_iters=2500, seed=12),
+               RunConfig(method="mwu", max_iters=2500, seed=13),
+               RunConfig(method="pg_direct", max_iters=2500, seed=14)]
+    results = run(games, configs)
+    assert [log.num_steps for log in results] == [2197, 2500, 2500, 2500]
+    monkeypatch.setattr(dynamics, "_RECORD_CHUNK", 10**6)
+    assert_same_as_solo(games, configs, results)
+
+
+def test_a_longer_batch_holds_only_its_extra_logged_rows():
+    # From 10,000 to 20,000 steps each run logs 1,000 more rows (every 10th
+    # iterate): the peak may grow by those rows, held twice while a run's
+    # folds are joined, and not by 32 B per iterate and run.
+    peaks, rows = [], []
+    for steps in (10_000, 20_000):
+        games, configs = batch("identical", 2, 10, 3, method="mwu", tau=0.0, max_iters=steps)
+        tracemalloc.start()
+        try:
+            results = run(games, configs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows.append(sum(len(log.iters) for log in results))
+    row_bytes = 8 * 7  # iters and the six logged columns
+    assert peaks[1] - peaks[0] <= 2 * row_bytes * (rows[1] - rows[0])
+
+
 def test_zero_steps():
     for method, tau in METHODS:
         games, configs = batch("identical", 2, 5, 3, method=method, tau=tau, max_iters=0)

@@ -19,10 +19,10 @@ from inpg.metrics import (
     regularized_potential,
     regularized_utility,
 )
-from inpg.oracle import grid_gap, naive_marginal
 from inpg.policy import JointPolicy, entropy, jeffrey, kl, row_entropies, uniform_policy
 
 from conftest import random_policy, random_small_game
+from oracle import grid_gap, naive_marginal
 
 
 def soft_maximum(r: np.ndarray, tau: float) -> float:

@@ -4,7 +4,10 @@ import pytest
 from inpg.dynamics import npg_step
 from inpg.game import make_general_potential, make_identical_interest
 from inpg.metrics import marginalized_utility, ne_gap_terms, marginalized_utilities, policy_values
-from inpg.oracle import (
+from inpg.policy import JointPolicy, SoftmaxParams, row_entropies, softmax, uniform_policy
+
+from conftest import random_policy
+from oracle import (
     OracleError,
     OracleScaleError,
     _pinv_eigh,
@@ -15,9 +18,6 @@ from inpg.oracle import (
     grid_gap,
     naive_marginal,
 )
-from inpg.policy import JointPolicy, SoftmaxParams, row_entropies, softmax, uniform_policy
-
-from conftest import random_policy
 
 
 def point_mass_row(num_actions, action):
