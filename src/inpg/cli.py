@@ -7,8 +7,9 @@ Examples:
     inpg plot --out results/
     inpg audit --out results/
 
-`run` and `audit` report the same five theorem checks (initial distance,
-Jeffrey sum, monotone, theorem1, sandwich). `run` exits 0 when every check
+`run` prints, for each run, the block `audit` prints for its meta file: the
+five theorem checks (initial distance, Jeffrey sum, monotone, theorem1,
+sandwich) and the numbers behind them. `run` exits 0 when every check
 passes, 1 when a check fails and 2 on misuse (bad flags, an unreadable game
 file or an --out that cannot be made); `generate` exits 2 on misuse too, and
 `audit` exits 0 or 1. All outputs are deterministic for fixed flags and base
@@ -24,9 +25,9 @@ import sys
 from .dynamics import METHODS, RunConfig
 from .game import load_game, make_general_potential, make_identical_interest, save_game, summarize_game
 from .harness import (
-    CHECKS,
     GameSpec,
     audit_directory,
+    audit_lines,
     plot_directory,
     run_experiment,
     seeded_game_specs,
@@ -123,13 +124,9 @@ def _cmd_run(args) -> int:
             print(f"{base}: FAILED check monotone: {err}")
             failed.append((base, "monotone"))
             continue
-        summary = summary_from_meta(meta)
-        for check in CHECKS:
-            res = check(summary)
-            if res.detail:
-                print(f"{base}: {res.detail}")
-            if not res.ok:
-                failed.append((base, res.name))
+        lines, names = audit_lines(summary_from_meta(meta))
+        print("\n".join(lines))
+        failed.extend((base, name) for name in names)
     if failed:
         for base, name in failed:
             print(f"FAILED: {name} ({base})", file=sys.stderr)

@@ -85,26 +85,24 @@ class PotentialGame:
         return tuple(self.utility(i) for i in range(self.num_agents))
 
 
-def require_capacity(num_agents: int, num_actions: int, max_entries: int = DEFAULT_DENSE_CAP) -> int:
+def require_capacity(num_agents: int, num_actions: int) -> int:
     """Joint-action entry count under the cap; num_agents is bounded before the power is formed."""
     if num_agents < 1 or num_actions < 1:
         raise ValueError("num_agents and num_actions must be positive")
     if num_agents > MAX_AGENTS:
         raise GameSizeError(f"{num_agents} agents exceed the limit of {MAX_AGENTS} tensor axes")
     entries = num_actions**num_agents
-    if entries > max_entries:
+    if entries > DEFAULT_DENSE_CAP:
         raise GameSizeError(
             f"joint action space has {num_actions}^{num_agents} = {entries} entries, "
-            f"exceeding the dense cap of {max_entries}"
+            f"exceeding the dense cap of {DEFAULT_DENSE_CAP}"
         )
     return entries
 
 
-def make_identical_interest(
-    num_agents: int, num_actions: int, seed: int, max_entries: int = DEFAULT_DENSE_CAP
-) -> PotentialGame:
+def make_identical_interest(num_agents: int, num_actions: int, seed: int) -> PotentialGame:
     """Identical-interest game: all agents share the Beta(1/2,1/2) potential; phi_max = 1."""
-    entries = require_capacity(num_agents, num_actions, max_entries)
+    entries = require_capacity(num_agents, num_actions)
     shape = (num_actions,) * num_agents
     phi = beta_half_half(uniform_array(seed, entries)).reshape(shape)
     return PotentialGame(
@@ -118,9 +116,7 @@ def make_identical_interest(
     )
 
 
-def make_general_potential(
-    num_agents: int, num_actions: int, seed: int, max_entries: int = DEFAULT_DENSE_CAP
-) -> PotentialGame:
+def make_general_potential(num_agents: int, num_actions: int, seed: int) -> PotentialGame:
     """Potential game with non-identical utilities.
 
     Raw potential entries are Beta(1/2,1/2); each agent adds a dummy term
@@ -130,7 +126,7 @@ def make_general_potential(
     consumed as: entries for the potential, then entries/num_actions dummies
     per agent in agent order.
     """
-    entries = require_capacity(num_agents, num_actions, max_entries)
+    entries = require_capacity(num_agents, num_actions)
     shape = (num_actions,) * num_agents
     opp_entries = num_actions ** (num_agents - 1)
 

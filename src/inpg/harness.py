@@ -194,9 +194,15 @@ def check_monotone(summary: RunSummary) -> CheckResult:
                     f"monotone: min per-step slack {slack:.3e} (tol {MONOTONICITY_TOL:g})")
 
 
-def check_theorem1(summary: RunSummary) -> CheckResult:
+def _theorem1_sides(summary: RunSummary) -> tuple[float, float] | None:
+    """Theorem 1's (average gap, bound), or None where the theorem does not apply."""
     sides = theorem_average_gap_sides(summary)
-    if sides is None or not _improvement_guaranteed(summary):
+    return sides if sides is not None and _improvement_guaranteed(summary) else None
+
+
+def check_theorem1(summary: RunSummary) -> CheckResult:
+    sides = _theorem1_sides(summary)
+    if sides is None:
         return CheckResult("theorem1", False, False,
                            "theorem1: skipped (needs a completed npg run with compliant eta)")
     lhs, rhs = sides
@@ -214,24 +220,25 @@ def check_sandwich(summary: RunSummary) -> CheckResult:
                     f"(tol {SANDWICH_TOL:g})")
 
 
-# Every theorem-level check, in report order; `run` and `audit` both report all of them.
+# Every theorem-level check, in report order. audit_lines reports all of them,
+# and `run` and `audit` both print its report.
 CHECKS = (check_initial_distance, check_jeffrey_sum, check_monotone, check_theorem1, check_sandwich)
 
 
-def audit_lines(summary: RunSummary) -> tuple[list[str], bool]:
-    """Report for one completed run; returns (lines, all checks passed)."""
+def audit_lines(summary: RunSummary) -> tuple[list[str], list[str]]:
+    """Report for one completed run; returns (lines, names of the checks that failed)."""
     head = (f"{run_basename(summary.method, summary.tau, summary.seed)}: "
             f"eta={summary.eta:g} T={summary.num_steps}")
     lines = [head]
     if summary.method == "pg_direct":
         lines.append(f"  final avg ne_gap {summary.sum_ne_gap / max(summary.num_steps, 1):.6e}; "
                      "regularized checks skipped (unregularized baseline)")
-        return lines, True
+        return lines, []
     if summary.tau > 0 and summary.num_steps:
         avg = summary.sum_qre_gap / summary.num_steps
         lines.append(f"  measured avg qre_gap (iterates 1..T): {avg:.6e}; "
                      f"best single iterate: {summary.min_qre_gap:.6e}")
-        sides = theorem_average_gap_sides(summary)
+        sides = _theorem1_sides(summary)
         if sides is not None:
             lines.append(f"  guaranteed upper bound on that average: {sides[1]:.6e}")
         if avg > 0:
@@ -241,7 +248,7 @@ def audit_lines(summary: RunSummary) -> tuple[list[str], bool]:
             )
     results = [check(summary) for check in CHECKS]
     lines.extend("  " + res.detail for res in results if res.detail)
-    return lines, all(res.ok for res in results)
+    return lines, [res.name for res in results if not res.ok]
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +281,6 @@ class GameSpec:
 # (5x6 at K=15 in 0.19 of the time, 3x30 at K=4 in 0.50, 4x15 and 6x6 at K=2
 # in 0.75 and 0.78), and two stacked 4x20 games (2.6 MB) took 1.13 times as long.
 LOCKSTEP_BYTES = 1 << 20
-
-# execute_runs skips the process pool when the runs' estimated time in one
-# process is below POOL_MIN_SECONDS, where the pool's start-up costs more than
-# two workers save. A run-step is estimated at STEP_SECONDS plus CELL_SECONDS
-# per potential entry (one BLAS thread, 2-core Xeon: about 25 us at 2x10 and
-# 120 us at 4x20). Measured there in fresh processes with --jobs 2, 8 pg_direct
-# 2x10 runs took 78 ms in the pool and 52 ms in one process at 200 steps
-# (estimated 0.04 s), broke even at 600 (0.12 s) and took 180 against 225 ms at
-# 1000 (0.2 s).
-POOL_MIN_SECONDS = 0.1
-STEP_SECONDS = 25e-6
-CELL_SECONDS = 0.6e-9
 
 Task = tuple[GameSpec, RunConfig, str]
 
@@ -362,21 +357,12 @@ def _execute_batch(batch: list[Task]) -> list[RunResult]:
     return results
 
 
-def _serial_seconds(tasks: list[Task]) -> float:
-    """Estimated time of the tasks in one process; a file game counts as too large to skip the pool."""
-    if any(spec.source == "file" for spec, _, _ in tasks):
-        return math.inf
-    return sum(config.max_iters * (STEP_SECONDS + CELL_SECONDS * spec.num_actions**spec.num_agents)
-               for spec, config, _ in tasks)
-
-
 def execute_runs(tasks: list[Task], jobs: int = 1) -> list[RunResult]:
-    """Run tasks in batches (in parallel for jobs > 1 unless the work is too small to pay
-    for a process pool); output files are per-task. Returns _execute_batch's tuples in
-    task order."""
+    """Run tasks in batches (in a process pool for jobs > 1); output files are per-task.
+    Returns _execute_batch's tuples in task order."""
     batches = lockstep_batches(tasks, jobs)
     work = [[tasks[i] for i in batch] for batch in batches]
-    if jobs <= 1 or len(batches) <= 1 or _serial_seconds(tasks) < POOL_MIN_SECONDS:
+    if jobs <= 1 or len(batches) <= 1:
         done = [_execute_batch(batch) for batch in work]
     else:
         # Under fork the first submit starts every worker, so start no more than
@@ -517,8 +503,8 @@ def audit_directory(out_dir: str) -> tuple[list[str], bool]:
     all_ok = True
     for name in metas:
         summary = read_run_meta(os.path.join(out_dir, name))
-        run_lines, ok = audit_lines(summary)
+        run_lines, failed = audit_lines(summary)
         lines.extend(run_lines)
-        all_ok &= ok
+        all_ok &= not failed
     lines.append("audit: " + ("all checks passed" if all_ok else "SOME CHECKS FAILED"))
     return lines, bool(all_ok)

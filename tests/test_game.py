@@ -17,6 +17,7 @@ from inpg.game import (
     load_game,
     make_general_potential,
     make_identical_interest,
+    require_capacity,
     save_game,
     summarize_game,
 )
@@ -138,11 +139,10 @@ class TestCapacity:
         assert str(7**9) in str(err.value)
         assert str(DEFAULT_DENSE_CAP) in str(err.value)
 
-    def test_cap_override(self):
+    def test_cap_admits_its_own_size(self):
+        assert require_capacity(24, 2) == DEFAULT_DENSE_CAP == 2**24
         with pytest.raises(GameSizeError):
-            make_identical_interest(2, 3, seed=0, max_entries=8)
-        game = make_identical_interest(2, 3, seed=0, max_entries=9)
-        assert game.num_entries == 9
+            make_identical_interest(25, 2, seed=0)
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):

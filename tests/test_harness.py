@@ -31,6 +31,7 @@ from inpg.harness import (
     run_basename,
     run_experiment,
     seeded_game_specs,
+    summary_from_meta,
     write_csv_rows,
     write_run_csv,
     write_run_meta,
@@ -38,6 +39,28 @@ from inpg.harness import (
 from inpg.svg import line_chart
 
 from conftest import write_v1_game
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Swap the process pool for one that maps in this process; returns each start's worker count."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return started
 
 
 @pytest.fixture
@@ -134,7 +157,7 @@ class TestAggregate:
 class TestChecks:
     def test_all_pass_on_compliant_run(self, small_log):
         meta = meta_from_log(small_log)
-        summary = read_meta_dict(meta)
+        summary = summary_from_meta(meta)
         assert check_monotone(summary).ok
         assert check_theorem1(summary).passed
         assert check_sandwich(summary).passed
@@ -142,18 +165,12 @@ class TestChecks:
     def test_monotone_not_applicable_for_large_eta(self):
         game = make_identical_interest(2, 4, seed=3)
         log = run(game, RunConfig(method="npg", tau=0.2, eta=1.2, max_iters=10))
-        summary = read_meta_dict(meta_from_log(log))
+        summary = summary_from_meta(meta_from_log(log))
         res = check_monotone(summary)
         assert not res.applicable and res.ok
         res_t = check_theorem1(summary)
         assert not res_t.applicable  # premise violated, skipped with notice
         assert "skip" in res_t.detail or "not applicable" in res_t.detail
-
-
-def read_meta_dict(meta: dict):
-    from inpg.harness import RunSummary
-
-    return RunSummary(**{k: (float("nan") if v is None else v) for k, v in meta.items()})
 
 
 class TestExperiment:
@@ -391,16 +408,33 @@ def test_failed_bound_check_flips_exit_contract(tmp_path, field, value):
     assert cli_main(["audit", "--out", out]) == 1
 
 
-def test_run_and_audit_report_the_same_checks(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--tau", "0.2"], id="npg-auto-eta"),
+    pytest.param(["--tau", "0.2", "--eta", "1.2"], id="npg-eta-1.2"),
+    pytest.param(["--method", "mwu"], id="mwu"),
+    pytest.param(["--method", "pg_direct"], id="pg_direct"),
+    pytest.param(["--tau", "0.2", "--iters", "0"], id="npg-iters-0"),
+])
+def test_run_prints_the_block_audit_prints(tmp_path, capsys, argv):
     out = str(tmp_path / "res")
-    assert cli_main(["run", "--agents", "2", "--actions", "3", "--seed", "1",
-                     "--tau", "0.2", "--iters", "20", "--out", out]) == 0
-    prefix = "run_npg_tau0.2_seed1: "
-    run_checks = [line.removeprefix(prefix) for line in capsys.readouterr().out.splitlines()]
+    assert cli_main(["run", "--agents", "2", "--actions", "3", "--seed", "1", "--iters", "20",
+                     *argv, "--out", out]) == 0
+    run_out = capsys.readouterr().out
     assert cli_main(["audit", "--out", out]) == 0
-    audit_out = capsys.readouterr().out.splitlines()
-    assert len(run_checks) == 5
-    assert [line.strip() for line in audit_out[-6:-1]] == run_checks  # checks end the run's block
+    *block, last = capsys.readouterr().out.splitlines()
+    assert last == "audit: all checks passed"
+    assert run_out.splitlines() == block
+
+
+def test_audit_prints_the_bound_only_where_theorem1_applies(tmp_path):
+    specs = seeded_game_specs("identical", 2, 4, base_seed=3, runs=1)
+    for eta, applies in (("auto", True), (1.2, False)):
+        out = str(tmp_path / f"eta{eta}")
+        run_experiment(out, specs, [RunConfig(method="npg", tau=0.2, eta=eta, max_iters=10)])
+        lines, ok = audit_directory(out)
+        assert ok
+        assert any("guaranteed upper bound" in line for line in lines) == applies
+        assert any(line.startswith("  theorem1: avg qre_gap") for line in lines) == applies
 
 
 @pytest.mark.parametrize("argv", [
@@ -538,32 +572,25 @@ def test_a_failing_run_leaves_no_files_and_the_others_aggregate(tmp_path, monkey
     assert captured.err.splitlines() == [f"FAILED: monotone ({bases[1]})"]
 
 
-def test_pool_starts_no_more_workers_than_batches(tmp_path, monkeypatch):
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+def test_pool_starts_no_more_workers_than_batches(tmp_path, pool_starts):
     tasks = []
-    for seed in range(3):  # a file game is a batch of its own and always takes the pool
+    for seed in range(3):  # each file game is a batch of its own
         path = str(tmp_path / f"g{seed}.pg")
         save_game(make_identical_interest(2, 3, seed), path)
         tasks.append((GameSpec(source="file", path=path, seed=seed),
                       RunConfig(method="npg", tau=0.1, max_iters=5, seed=seed), str(tmp_path)))
     results = execute_runs(tasks, jobs=10_000)
     assert all(err is None for _, _, err, _ in results)
-    assert len(started) == 1 and 1 <= started[0] <= 3
+    assert len(pool_starts) == 1 and 1 <= pool_starts[0] <= 3
+
+
+def test_small_games_take_the_pool_for_jobs_above_1(tmp_path, pool_starts):
+    specs = seeded_game_specs("identical", 2, 3, base_seed=1, runs=4)
+    config = RunConfig(method="npg", tau=0.1, max_iters=5)
+    assert len(lockstep_batches([(spec, config, str(tmp_path)) for spec in specs], jobs=2)) == 2
+    results = run_experiment(str(tmp_path), specs, [config], jobs=2)
+    assert all(err is None for _, _, err in results)
+    assert len(pool_starts) == 1
 
 
 def test_generate_misuse_exits_2(tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_mixed_configs_match_solo_runs(agents, actions):
     assert_same_as_solo(games, configs, run(games, configs))
 
 
-def test_record_block_grows_past_its_first_chunk():
+def test_a_batch_past_one_fold_equals_its_runs_alone():
     steps = dynamics._RECORD_CHUNK + 300
     games, configs = batch("identical", 2, 3, 3, method="npg", tau=0.05, max_iters=steps)
     results = run(games, configs)
@@ -89,9 +89,10 @@ def test_record_block_grows_past_its_first_chunk():
     assert_same_as_solo(games, configs, results)
 
 
-def test_record_block_stops_growing_at_max_iters():
-    # One iterate past the first chunk adds one iterate to the block, not a
-    # second chunk: at K = 40 a doubled block would hold 1.3 MB more.
+def test_one_step_past_a_full_block_adds_no_block():
+    # Runs of _RECORD_CHUNK - 1 steps fill the record block exactly. One more
+    # step folds the block and reuses it, where a second block would hold
+    # 1.3 MB more at K = 40.
     peaks = []
     for steps in (dynamics._RECORD_CHUNK - 1, dynamics._RECORD_CHUNK):
         games, configs = batch("identical", 2, 3, 40, method="mwu", tau=0.0, max_iters=steps)
