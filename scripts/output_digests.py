@@ -23,6 +23,10 @@ sweep's folds are the small ones, over tensors of 6^2 to 6^4 entries.
 runs 20 seeds of 5x6 games, more than one batch's byte budget holds, so they
 step as batches of 16 and 4. `pgsmall` runs pg_direct on 8 seeds of 2x10
 with two workers, so they step as two batches of 4, one per worker.
+
+`noncompliant` runs npg with `--eta 1.2`, above the guaranteed rate, so its
+`audit.stdout` holds the lines `audit` prints where Theorem 1 does not apply;
+every other command runs at `--eta auto`.
 """
 
 import argparse
@@ -56,6 +60,8 @@ COMMANDS = (
                "--iters", "100"]),
     ("pgsmall", ["inpg", "run", "--method", "pg_direct", "--agents", "2", "--actions", "10",
                  "--runs", "8", "--jobs", "2", "--iters", "200"]),
+    ("noncompliant", ["inpg", "run", "--agents", "2", "--actions", "4", "--seed", "3",
+                      "--tau", "0.2", "--eta", "1.2", "--iters", "10"]),
 )
 
 

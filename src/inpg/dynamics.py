@@ -215,17 +215,6 @@ def npg_update_logs(log_probs: np.ndarray, r: np.ndarray, eta: float, tau: float
     return z - logsumexp(z, axis=-1, keepdims=True)
 
 
-def step_update(
-    method: str, log_probs: np.ndarray, probs: np.ndarray, r: np.ndarray, eta: float, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """New (log_probs, probs) from marginals r; pg_direct floors zeros at PROB_FLOOR before the log."""
-    if method == "pg_direct":
-        new_probs = pg_direct_update_probs(probs, r, eta)
-        return np.log(np.maximum(new_probs, PROB_FLOOR)), new_probs
-    new_lp = npg_update_logs(log_probs, r, eta, tau)
-    return new_lp, np.exp(new_lp)
-
-
 def _sweep_one(game: PotentialGame, policy: JointPolicy) -> np.ndarray:
     """The marginals r of one game at one policy, shape (num_agents, num_actions)."""
     return marginal_sweep(game.potential[None], policy.probs[None])[0][0]
@@ -235,7 +224,7 @@ def npg_step(game: PotentialGame, policy: JointPolicy, eta: float, tau: float) -
     """One simultaneous update of every agent."""
     check_step_params(eta, tau)
     r = _sweep_one(game, policy)
-    return JointPolicy(step_update("npg", policy.log_probs, policy.probs, r, eta, tau)[0])
+    return JointPolicy(npg_update_logs(policy.log_probs, r, eta, tau))
 
 
 def pg_direct_update_probs(probs: np.ndarray, r: np.ndarray, eta: float) -> np.ndarray:
@@ -247,7 +236,7 @@ def pg_direct_step(game: PotentialGame, policy: JointPolicy, eta: float) -> Join
     """One projected ascent step of every agent."""
     check_step_params(eta, 0.0)
     r = _sweep_one(game, policy)
-    return JointPolicy(step_update("pg_direct", policy.log_probs, policy.probs, r, eta, 0.0)[0])
+    return JointPolicy(np.log(np.maximum(pg_direct_update_probs(policy.probs, r, eta), PROB_FLOOR)))
 
 
 def _running_sums(start: float, terms: np.ndarray) -> np.ndarray:
@@ -439,19 +428,24 @@ class _Batch:
         self.end = min(row.config.max_iters for row in rows)  # the first iterate a row ends at
 
     def step(self, rec: np.ndarray, j: int, lp, probs, r) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's new (log_probs, probs); writes the Jeffrey divergence into block column j."""
+        """Every row's new (log_probs, probs); writes the Jeffrey divergence into block column j.
+
+        pg_direct's projection can zero out actions, so its logs floor at PROB_FLOOR.
+        """
         n = self.n_upd
         if n == 0:
-            return step_update("pg_direct", lp, probs, r, self.eta_pg, 0.0)
+            new_probs = pg_direct_update_probs(probs, r, self.eta_pg)
+            return np.log(np.maximum(new_probs, PROB_FLOOR)), new_probs
         if n == len(lp):
-            new_lp, new_probs = step_update("npg", lp, probs, r, self.eta_upd, self.tau_upd)
+            new_lp = npg_update_logs(lp, r, self.eta_upd, self.tau_upd)
+            new_probs = np.exp(new_lp)
             rec[_JEFFREY, j] = jeffrey_logs(new_probs, new_lp, probs, lp)
             return new_lp, new_probs
         new_lp, new_probs = np.empty_like(lp), np.empty_like(probs)
-        new_lp[:n], new_probs[:n] = step_update(
-            "npg", lp[:n], probs[:n], r[:n], self.eta_upd, self.tau_upd)
-        new_lp[n:], new_probs[n:] = step_update(
-            "pg_direct", lp[n:], probs[n:], r[n:], self.eta_pg, 0.0)
+        new_lp[:n] = npg_update_logs(lp[:n], r[:n], self.eta_upd, self.tau_upd)
+        new_probs[:n] = np.exp(new_lp[:n])
+        new_probs[n:] = pg_direct_update_probs(probs[n:], r[n:], self.eta_pg)
+        new_lp[n:] = np.log(np.maximum(new_probs[n:], PROB_FLOOR))
         rec[_JEFFREY, j, :n] = jeffrey_logs(new_probs[:n], new_lp[:n], probs[:n], lp[:n])
         return new_lp, new_probs
 
@@ -547,44 +541,3 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
             rec[:, 0], base = rec[:, -1], t
         t += 1
         batch.record(rec, t - base, r, phi_mean, lp, probs)
-
-
-def theorem_average_gap_sides(log: RunSummary) -> tuple[float, float] | None:
-    """Measured average QRE-gap over iterates 1..T and its guaranteed upper bound.
-
-    Bound: (2/(eta tau T)) * (tau * D0 + sqrt(2 eta T (phi_tau[T] - phi_tau[0]))),
-    every quantity taken from the run itself. None when the bound does not
-    apply (unregularized method or zero steps).
-    """
-    if log.method != "npg" or log.tau <= 0 or log.num_steps == 0:
-        return None
-    t = log.num_steps
-    lhs = log.sum_qre_gap / t
-    gain = max(log.phi_tau_final - log.phi_tau_initial, 0.0)
-    rhs = (2.0 / (log.eta * log.tau * t)) * (
-        log.tau * log.initial_br_log_distance + math.sqrt(2.0 * log.eta * t * gain)
-    )
-    return lhs, rhs
-
-
-def initial_distance_bound_sides(log: RunSummary) -> tuple[float, float] | None:
-    """Initial log-distance to the best response vs its uniform-start bound 2/tau."""
-    if log.tau <= 0:
-        return None
-    return log.initial_br_log_distance, 2.0 / log.tau
-
-
-def jeffrey_sum_sides(log: RunSummary) -> tuple[float, float] | None:
-    """Total policy movement sum_t J(step_t) vs its bound 2 eta (phi_tau[T] - phi_tau[0])."""
-    if log.method == "pg_direct" or log.num_steps == 0:
-        return None
-    return log.sum_jeffrey, 2.0 * log.eta * (log.phi_tau_final - log.phi_tau_initial)
-
-
-def predicted_iterations(log: RunSummary, epsilon: float) -> float:
-    """Iteration-count scale min(sqrt(N), phi_max) * phi_max / (tau^2 eps^2) for reaching eps."""
-    return (
-        min(math.sqrt(log.num_agents), log.phi_max)
-        * log.phi_max
-        / (log.tau**2 * epsilon**2)
-    )

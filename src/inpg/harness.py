@@ -32,11 +32,7 @@ from .dynamics import (
     RunConfig,
     RunSummary,
     improvement_guaranteed,
-    initial_distance_bound_sides,
-    jeffrey_sum_sides,
-    predicted_iterations,
     run,
-    theorem_average_gap_sides,
 )
 from .game import (
     PotentialGame,
@@ -166,19 +162,20 @@ def _verdict(name: str, passed: bool, statement: str) -> CheckResult:
 
 
 def check_initial_distance(summary: RunSummary) -> CheckResult:
-    sides = initial_distance_bound_sides(summary)
-    if sides is None or summary.num_steps == 0:
+    """Initial log-distance to the best response vs its uniform-start bound 2/tau."""
+    if summary.tau <= 0 or summary.num_steps == 0:
         return CheckResult("initial_distance", False, False, "")
-    d0, bound = sides
+    d0, bound = summary.initial_br_log_distance, 2.0 / summary.tau
     return _verdict("initial_distance", d0 <= bound,
                     f"initial best-response log-distance {d0:.6g} <= 2/tau = {bound:.6g}")
 
 
 def check_jeffrey_sum(summary: RunSummary) -> CheckResult:
-    sides = jeffrey_sum_sides(summary)
-    if sides is None or not _improvement_guaranteed(summary):
+    """Total policy movement sum_t J(step_t) vs its bound 2 eta (phi_tau[T] - phi_tau[0])."""
+    if summary.num_steps == 0 or not _improvement_guaranteed(summary):
         return CheckResult("jeffrey_sum", False, False, "")
-    total, bound = sides
+    total = summary.sum_jeffrey
+    bound = 2.0 * summary.eta * (summary.phi_tau_final - summary.phi_tau_initial)
     return _verdict("jeffrey_sum", total <= bound * (1 + 1e-12) + 1e-15,
                     f"total step movement sum_t J = {total:.6e} <= 2*eta*dPhi = {bound:.6e}")
 
@@ -194,14 +191,26 @@ def check_monotone(summary: RunSummary) -> CheckResult:
                     f"monotone: min per-step slack {slack:.3e} (tol {MONOTONICITY_TOL:g})")
 
 
-def _theorem1_sides(summary: RunSummary) -> tuple[float, float] | None:
-    """Theorem 1's (average gap, bound), or None where the theorem does not apply."""
-    sides = theorem_average_gap_sides(summary)
-    return sides if sides is not None and _improvement_guaranteed(summary) else None
+def theorem1_sides(summary: RunSummary) -> tuple[float, float] | None:
+    """Theorem 1's measured average QRE-gap over iterates 1..T and its guaranteed upper bound.
+
+    Bound: (2/(eta tau T)) * (tau * D0 + sqrt(2 eta T (phi_tau[T] - phi_tau[0]))),
+    every quantity taken from the run itself. None where the theorem does not
+    apply: no steps taken, tau <= 0 (RunConfig rejects it for npg, a meta file
+    may not), or no guaranteed improvement (npg with compliant eta).
+    """
+    t = summary.num_steps
+    if t == 0 or summary.tau <= 0 or not _improvement_guaranteed(summary):
+        return None
+    eta, tau = summary.eta, summary.tau
+    gain = max(summary.phi_tau_final - summary.phi_tau_initial, 0.0)
+    rhs = (2.0 / (eta * tau * t)) * (
+        tau * summary.initial_br_log_distance + math.sqrt(2.0 * eta * t * gain))
+    return summary.sum_qre_gap / t, rhs
 
 
 def check_theorem1(summary: RunSummary) -> CheckResult:
-    sides = _theorem1_sides(summary)
+    sides = theorem1_sides(summary)
     if sides is None:
         return CheckResult("theorem1", False, False,
                            "theorem1: skipped (needs a completed npg run with compliant eta)")
@@ -238,14 +247,13 @@ def audit_lines(summary: RunSummary) -> tuple[list[str], list[str]]:
         avg = summary.sum_qre_gap / summary.num_steps
         lines.append(f"  measured avg qre_gap (iterates 1..T): {avg:.6e}; "
                      f"best single iterate: {summary.min_qre_gap:.6e}")
-        sides = _theorem1_sides(summary)
+        sides = theorem1_sides(summary)
         if sides is not None:
             lines.append(f"  guaranteed upper bound on that average: {sides[1]:.6e}")
-        if avg > 0:
-            lines.append(
-                f"  iteration-count scale to reach eps = this average: "
-                f"{predicted_iterations(summary, avg):.4g}"
-            )
+            if avg > 0:  # Theorem 1's iteration scale at eps = avg
+                scale = (min(math.sqrt(summary.num_agents), summary.phi_max)
+                         * summary.phi_max / (summary.tau**2 * avg**2))
+                lines.append(f"  iteration-count scale to reach eps = this average: {scale:.4g}")
     results = [check(summary) for check in CHECKS]
     lines.extend("  " + res.detail for res in results if res.detail)
     return lines, [res.name for res in results if not res.ok]

@@ -111,19 +111,13 @@ def qre_gap_terms(
     """Per-agent regularized improvement: tau*LSE(r_i/tau) - <r_i, pi_i> - tau*H(pi_i).
 
     best: r.max(axis=-1), the shift of the log-sum-exp; values: policy_values(r,
-    probs); entropies: row_entropies(probs, log_probs). tau is a float, or an
+    probs); entropies: row_entropies(probs, log_probs). tau > 0 is a float, or an
     array of temperatures that broadcasts against best (shape (K, 1) gives each
-    of K runs its own). Equals tau * KL(pi_i || best_response(r_i, tau)).
-    Clamped at 0 against rounding in the cancellation near a fixed point.
+    of K runs its own); it is not checked here. Equals tau * KL(pi_i ||
+    best_response(r_i, tau)). Clamped at 0 against rounding in the cancellation
+    near a fixed point.
     """
-    if isinstance(tau, np.ndarray):
-        tau_r = tau[..., None]
-        invalid = (tau <= 0).any()
-    else:
-        tau_r = tau
-        invalid = tau <= 0
-    if invalid:
-        raise ValueError("qre_gap requires tau > 0")
+    tau_r = np.asarray(tau)[..., None]  # against r
     soft_max = best + tau * np.log(np.add.reduce(np.exp((r - best[..., None]) / tau_r), axis=-1))
     return np.maximum(soft_max - (values + tau * entropies), 0.0)
 
@@ -136,6 +130,8 @@ def ne_gap(game: PotentialGame, policy: JointPolicy) -> float:
 
 def qre_gap(game: PotentialGame, policy: JointPolicy, tau: float) -> float:
     """Largest regularized-utility gain available to any agent; 0 exactly at the QRE."""
+    if not tau > 0:
+        raise ValueError("qre_gap requires tau > 0")
     r = marginalized_utilities(game, policy)
     probs = policy.probs
     h = row_entropies(probs, policy.log_probs)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from inpg.dynamics import RunConfig, npg_step, run, theorem_average_gap_sides
+from inpg.dynamics import RunConfig, npg_step, run
 from inpg.game import expected_utility, make_general_potential, make_identical_interest
 from inpg.harness import (
     agg_basename,
@@ -24,6 +24,7 @@ from inpg.harness import (
     run_basename,
     run_experiment,
     seeded_game_specs,
+    theorem1_sides,
 )
 from inpg.metrics import (
     best_response,
@@ -100,7 +101,7 @@ def test_criterion_2_average_gap_bound(ensemble_dir):
     """Measured average QRE-gap never exceeds the run's own guaranteed bound."""
     tightest = math.inf
     for tau, seed, summary in _npg_summaries(ensemble_dir):
-        lhs, rhs = theorem_average_gap_sides(summary)
+        lhs, rhs = theorem1_sides(summary)
         assert lhs <= rhs, (tau, seed, lhs, rhs)
         tightest = min(tightest, rhs / lhs)
     _passed(2, f"0 violations across 30 runs; smallest bound/measured ratio {tightest:.3g}")

@@ -10,16 +10,14 @@ from inpg.dynamics import (
     ParameterError,
     RunConfig,
     default_learning_rate,
-    initial_distance_bound_sides,
-    jeffrey_sum_sides,
     npg_step,
     pg_direct_learning_rate,
     pg_direct_step,
     run,
     tau_for_epsilon_ne,
-    theorem_average_gap_sides,
 )
 from inpg.game import PotentialGame, expected_potential, make_general_potential, make_identical_interest
+from inpg.harness import check_initial_distance, check_jeffrey_sum, check_theorem1, theorem1_sides
 from inpg.metrics import best_response, marginalized_utilities
 from inpg.policy import JointPolicy, uniform_policy
 
@@ -211,12 +209,14 @@ class TestRun:
     def test_average_gap_bound_holds(self):
         game = make_identical_interest(3, 6, seed=9)
         log = run(game, RunConfig(method="npg", tau=0.1, max_iters=400))
-        lhs, rhs = theorem_average_gap_sides(log)
+        lhs, rhs = theorem1_sides(log)
         assert lhs <= rhs
-        d0, bound = initial_distance_bound_sides(log)
-        assert d0 <= bound
-        total_j, movement_bound = jeffrey_sum_sides(log)
-        assert total_j <= movement_bound + 1e-15
+        assert log.initial_br_log_distance <= 2.0 / log.tau
+        movement_bound = 2.0 * log.eta * (log.phi_tau_final - log.phi_tau_initial)
+        assert log.sum_jeffrey <= movement_bound + 1e-15
+        for check in (check_initial_distance, check_jeffrey_sum, check_theorem1):
+            result = check(log)
+            assert result.applicable and result.passed, result.detail
 
     def test_stop_qre_gap(self):
         game = make_identical_interest(2, 4, seed=10)

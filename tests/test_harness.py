@@ -12,6 +12,7 @@ from inpg.cli import main as cli_main
 from inpg.dynamics import RunConfig, RunSummary, run
 from inpg.game import PotentialGame, make_general_potential, make_identical_interest, save_game
 from inpg.harness import (
+    CHECKS,
     CSV_COLUMNS,
     CSV_HEADER,
     LOCKSTEP_BYTES,
@@ -19,6 +20,7 @@ from inpg.harness import (
     agg_basename,
     aggregate_csvs,
     audit_directory,
+    audit_lines,
     check_monotone,
     check_sandwich,
     check_theorem1,
@@ -32,6 +34,7 @@ from inpg.harness import (
     run_experiment,
     seeded_game_specs,
     summary_from_meta,
+    theorem1_sides,
     write_csv_rows,
     write_run_csv,
     write_run_meta,
@@ -434,7 +437,39 @@ def test_audit_prints_the_bound_only_where_theorem1_applies(tmp_path):
         lines, ok = audit_directory(out)
         assert ok
         assert any("guaranteed upper bound" in line for line in lines) == applies
+        assert any("iteration-count scale" in line for line in lines) == applies
         assert any(line.startswith("  theorem1: avg qre_gap") for line in lines) == applies
+
+
+def test_no_theorem1_bound_for_a_meta_file_claiming_npg_at_tau_0():
+    # RunConfig rejects npg at tau = 0, but a meta file can claim it; the bound divides by tau.
+    log = run(make_identical_interest(2, 4, seed=3), RunConfig(method="npg", tau=0.2, max_iters=10))
+    summary = replace(log, tau=0.0)
+    assert theorem1_sides(summary) is None
+    lines, _ = audit_lines(summary)
+    assert not any("guaranteed upper bound" in line for line in lines)
+
+
+ALL_CHECKS = "initial_distance jeffrey_sum monotone theorem1 sandwich"
+
+
+@pytest.mark.parametrize("config,applies,printed", [
+    pytest.param(RunConfig(method="npg", tau=0.2, max_iters=10), ALL_CHECKS, ALL_CHECKS,
+                 id="npg-auto-eta"),
+    pytest.param(RunConfig(method="npg", tau=0.2, eta=1.2, max_iters=10), "initial_distance sandwich",
+                 "initial_distance monotone theorem1 sandwich", id="npg-eta-1.2"),
+    pytest.param(RunConfig(method="mwu", max_iters=10), "", "monotone theorem1 sandwich", id="mwu"),
+    pytest.param(RunConfig(method="pg_direct", max_iters=10), "", "", id="pg_direct"),
+    pytest.param(RunConfig(method="npg", tau=0.2, max_iters=0), "monotone sandwich",
+                 "monotone theorem1 sandwich", id="npg-iters-0"),
+])
+def test_which_checks_apply_and_which_print_a_line(config, applies, printed):
+    summary = run(make_identical_interest(2, 4, seed=3), config)
+    lines, failed = audit_lines(summary)
+    results = [check(summary) for check in CHECKS]
+    assert not failed
+    assert [res.name for res in results if res.applicable] == applies.split()
+    assert [res.name for res in results if "  " + res.detail in lines] == printed.split()
 
 
 @pytest.mark.parametrize("argv", [
