@@ -44,10 +44,10 @@ def main() -> int:
 
     print(f"running {len(variants)} variants x {args.runs} seeds into {args.out} ...")
     results = run_experiment(args.out, specs, variants, jobs=args.jobs)
-    failures = [(base, err) for base, _, err in results if err is not None]
+    failures = [outcome for outcome in results if outcome.error is not None]
     if failures:
-        for base, err in failures:
-            print(f"FAILED {base}: {err}", file=sys.stderr)
+        for outcome in failures:
+            print(f"FAILED {outcome.basename}: {outcome.error}", file=sys.stderr)
         return 1
 
     for path in plot_directory(args.out):

@@ -9,11 +9,12 @@ Examples:
 
 `run` prints, for each run, the block `audit` prints for its meta file: the
 five theorem checks (initial distance, Jeffrey sum, monotone, theorem1,
-sandwich) and the numbers behind them. `run` exits 0 when every check
-passes, 1 when a check fails and 2 on misuse (bad flags, an unreadable game
-file or an --out that cannot be made); `generate` exits 2 on misuse too, and
-`audit` exits 0 or 1. All outputs are deterministic for fixed flags and base
-seed.
+sandwich) and the numbers behind them. A run that fails its monotone gate
+or whose files cannot be written prints one `FAILED check` line instead.
+`run` exits 0 when every check passes, 1 when a check or a run fails and 2
+on misuse (bad flags, an unreadable game file or an --out that cannot be
+made); `generate` exits 2 on misuse too, and `audit` exits 0 or 1. All
+outputs are deterministic for fixed flags and base seed.
 """
 
 from __future__ import annotations
@@ -117,16 +118,15 @@ def _cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 2
 
-    results = run_experiment(args.out, specs, [config], jobs=args.jobs)
     failed = []
-    for base, meta, err in results:
-        if err is not None:
-            print(f"{base}: FAILED check monotone: {err}")
-            failed.append((base, "monotone"))
+    for outcome in run_experiment(args.out, specs, [config], jobs=args.jobs):
+        if outcome.error is not None:
+            print(f"{outcome.basename}: FAILED check {outcome.error}")
+            failed.append((outcome.basename, outcome.error.partition(":")[0]))
             continue
-        lines, names = audit_lines(summary_from_meta(meta))
+        lines, names = audit_lines(summary_from_meta(outcome.meta))
         print("\n".join(lines))
-        failed.extend((base, name) for name in names)
+        failed.extend((outcome.basename, name) for name in names)
     if failed:
         for base, name in failed:
             print(f"FAILED: {name} ({base})", file=sys.stderr)

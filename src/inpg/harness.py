@@ -17,10 +17,12 @@ the inputs, so repeated invocations are byte-identical.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .dynamics import (
     MONOTONICITY_TOL,
     IterateLog,
     MonotonicityError,
+    ParameterError,
     RunConfig,
     RunSummary,
     improvement_guaranteed,
@@ -130,7 +133,15 @@ def read_run_meta(path) -> RunSummary:
         value = meta[f.name]
         if value is not None and type(value) not in _META_TYPES[f.type]:
             raise ValueError(f"{path}: field {f.name!r} must be {f.type}, got {value!r}")
-    return summary_from_meta(meta)
+    summary = summary_from_meta(meta)
+    for name, least in (("num_agents", 1), ("num_actions", 1), ("num_steps", 0)):
+        if not getattr(summary, name) >= least:
+            raise ValueError(f"{path}: field {name!r} must be >= {least}, got {meta[name]!r}")
+    try:  # the method, tau and eta a run could have been configured with
+        RunConfig(method=summary.method, tau=summary.tau, eta=summary.eta)
+    except ParameterError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +207,9 @@ def theorem1_sides(summary: RunSummary) -> tuple[float, float] | None:
 
     Bound: (2/(eta tau T)) * (tau * D0 + sqrt(2 eta T (phi_tau[T] - phi_tau[0]))),
     every quantity taken from the run itself. None where the theorem does not
-    apply: no steps taken, tau <= 0 (RunConfig rejects it for npg, a meta file
-    may not), or no guaranteed improvement (npg with compliant eta).
+    apply: no steps taken, tau <= 0 (RunConfig and read_run_meta reject it for
+    npg, a RunSummary built in code may not), or no guaranteed improvement
+    (npg with compliant eta).
     """
     t = summary.num_steps
     if t == 0 or summary.tau <= 0 or not _improvement_guaranteed(summary):
@@ -290,8 +302,6 @@ class GameSpec:
 # in 0.75 and 0.78), and two stacked 4x20 games (2.6 MB) took 1.13 times as long.
 LOCKSTEP_BYTES = 1 << 20
 
-Task = tuple[GameSpec, RunConfig, str]
-
 
 def _shares_its_game(spec: GameSpec) -> bool:
     """Whether every run on this game steps as a row of one shared batch.
@@ -302,30 +312,30 @@ def _shares_its_game(spec: GameSpec) -> bool:
     return spec.source == "file" or 8 * spec.num_actions**spec.num_agents > LOCKSTEP_BYTES // 2
 
 
-def lockstep_batches(tasks: list[Task], jobs: int = 1) -> list[list[int]]:
-    """Group task indices into batches that step together; every task is in one batch.
+def lockstep_batches(specs: list[GameSpec], jobs: int = 1) -> list[list[int]]:
+    """Group the indices of runs, given by their game specs, into batches that step together.
 
-    One pass keys every task, whatever its config, and adds it to the last
-    batch of its key:
-    - Shared: when _shares_its_game holds, the key is the GameSpec and the
-      directory. The runs are rows over the game's single potential
-      (`dynamics.run(game, configs)`), and a row's bits depend on the configs
-      that share its game, so such a batch is never split.
-    - Lockstep: otherwise the key is the directory and the game's (N, A). A
-      task starts a new batch when the last one holds ceil(lockstep tasks /
-      jobs) tasks, so that every worker gets a batch, or when its potential
-      would take the batch's potentials past LOCKSTEP_BYTES. Each run's output
-      is the same in any lockstep batch (`dynamics.run(games, configs)`).
+    Every run is in one batch. One pass keys every run, whatever its config,
+    and adds it to the last batch of its key:
+    - Shared: when _shares_its_game holds, the key is the GameSpec. The runs
+      are rows over the game's single potential (`dynamics.run(game,
+      configs)`), and a row's bits depend on the configs that share its game,
+      so such a batch is never split.
+    - Lockstep: otherwise the key is the game's (N, A). A run starts a new
+      batch when the last one holds ceil(lockstep runs / jobs) runs, so that
+      every worker gets a batch, or when its potential would take the batch's
+      potentials past LOCKSTEP_BYTES. Each run's output is the same in any
+      lockstep batch (`dynamics.run(games, configs)`).
 
-    Batches are ordered by their first task. The grouping depends on the
-    tasks alone, and on jobs only where it cannot change a byte.
+    Batches are ordered by their first run. The grouping depends on the specs
+    alone, and on jobs only where it cannot change a byte.
     """
-    most = -(-sum(not _shares_its_game(spec) for spec, _, _ in tasks) // max(jobs, 1))
+    most = -(-sum(not _shares_its_game(spec) for spec in specs) // max(jobs, 1))
     batches: list[list[int]] = []
-    last: dict[tuple, list[int]] = {}  # key -> its last batch
-    for i, (spec, _, out_dir) in enumerate(tasks):
+    last: dict[object, list[int]] = {}  # key -> its last batch
+    for i, spec in enumerate(specs):
         shared = _shares_its_game(spec)
-        key = (spec, out_dir) if shared else (out_dir, spec.num_agents, spec.num_actions)
+        key = spec if shared else (spec.num_agents, spec.num_actions)
         batch = last.get(key)
         if batch is None or not shared and (
                 len(batch) == most
@@ -336,52 +346,40 @@ def lockstep_batches(tasks: list[Task], jobs: int = 1) -> list[list[int]]:
     return batches
 
 
-RunResult = tuple[str, dict | None, str | None, dict[str, np.ndarray] | None]
+class RunOutcome(NamedTuple):
+    """One run: its files' basename, and its meta object or its error, "<check>: <message>"
+    ("monotone" for the runtime gate, "write" for its files)."""
+
+    basename: str
+    meta: dict | None
+    error: str | None
 
 
-def _execute_batch(batch: list[Task]) -> list[RunResult]:
-    """Worker: run one batch, write each run's CSV, meta, and final policy.
+def _execute_batch(out_dir: str, batch: list[tuple[GameSpec, RunConfig]]) -> list[IterateLog | str]:
+    """Worker: run one batch, and write each completed run's CSV, final policy and meta file.
 
-    Returns (basename, meta, error, logged columns) per task, in order; the
-    columns are the run CSV's, keyed by its header, and None for a failed run.
+    Returns, per run in order, its IterateLog or its RunOutcome error. The
+    meta file is written last, so a run whose files fail to write leaves none.
     """
-    configs = [config for _, config, _ in batch]
-    spec = batch[0][0]
+    spec, configs = batch[0][0], [config for _, config in batch]
     if _shares_its_game(spec):
         logs = run(spec.build(), configs)
     else:
-        logs = run([spec.build() for spec, _, _ in batch], configs)
-    results = []
-    for (_, config, out_dir), log in zip(batch, logs):
-        base = run_basename(config.method, config.tau, config.seed)
+        logs = run([spec.build() for spec, _ in batch], configs)
+    results: list[IterateLog | str] = []
+    for config, log in zip(configs, logs):
         if isinstance(log, MonotonicityError):
-            results.append((base, None, str(log), None))
+            results.append(f"monotone: {log}")
             continue
-        write_run_csv(log, os.path.join(out_dir, base + ".csv"))
-        write_run_meta(log, os.path.join(out_dir, base + ".meta.json"))
-        policy_to_csv(log.final_policy, os.path.join(out_dir, base + ".policy.csv"))
-        columns = {"iter": log.iters, **{name: getattr(log, name) for name in CSV_COLUMNS}}
-        results.append((base, meta_from_log(log), None, columns))
-    return results
-
-
-def execute_runs(tasks: list[Task], jobs: int = 1) -> list[RunResult]:
-    """Run tasks in batches (in a process pool for jobs > 1); output files are per-task.
-    Returns _execute_batch's tuples in task order."""
-    batches = lockstep_batches(tasks, jobs)
-    work = [[tasks[i] for i in batch] for batch in batches]
-    if jobs <= 1 or len(batches) <= 1:
-        done = [_execute_batch(batch) for batch in work]
-    else:
-        # Under fork the first submit starts every worker, so start no more than
-        # there are batches to run or cores to run them on.
-        workers = min(jobs, len(batches), len(os.sched_getaffinity(0)))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_execute_batch, work))
-    results: list = [None] * len(tasks)
-    for batch, batch_results in zip(batches, done):
-        for i, result in zip(batch, batch_results):
-            results[i] = result
+        path = os.path.join(out_dir, run_basename(config.method, config.tau, config.seed))
+        try:
+            write_run_csv(log, path + ".csv")
+            policy_to_csv(log.final_policy, path + ".policy.csv")
+            write_run_meta(log, path + ".meta.json")
+        except OSError as exc:
+            results.append(f"write: {exc}")
+        else:
+            results.append(log)
     return results
 
 
@@ -405,34 +403,47 @@ def run_experiment(
     game_specs: list[GameSpec],
     variants: list[RunConfig],
     jobs: int = 1,
-) -> list[tuple[str, dict | None, str | None]]:
+) -> list[RunOutcome]:
     """All (variant x game) runs, then one aggregate CSV per variant.
 
-    Returns (basename, meta, error) per run. The aggregates average the
-    columns the runs return, which are the values their CSVs hold. A run's
-    files are named by its game's seed, so two game specs with one seed
-    raise ValueError before anything is written.
+    Runs step in lockstep batches, in a process pool for jobs > 1 and more
+    than one batch; output files are per run. Returns one RunOutcome per run,
+    variant-major. Each aggregate averages its variant's completed runs'
+    logged columns, the values their CSVs hold. A run's files are named by its
+    game's seed, so two game specs with one seed raise ValueError before
+    anything is written.
     """
     seeds = [spec.seed for spec in game_specs]
     if len(set(seeds)) < len(seeds):
         repeated = next(seed for seed in seeds if seeds.count(seed) > 1)
         raise ValueError(f"two game specs have seed {repeated}, which names their runs' files")
     os.makedirs(out_dir, exist_ok=True)
-    tasks = []
-    for variant in variants:
-        for spec in game_specs:
-            tasks.append((spec, replace(variant, seed=spec.seed), out_dir))
-    results = execute_runs(tasks, jobs=jobs)
-    logged = {base: columns for base, _, err, columns in results if err is None}
-    for variant in variants:
-        runs = {}
-        for spec in game_specs:
-            base = run_basename(variant.method, variant.tau, spec.seed)
-            if base in logged:
-                runs[os.path.join(out_dir, base + ".csv")] = logged[base]
-        if runs:
-            aggregate_csvs(runs, os.path.join(out_dir, agg_basename(variant.method, variant.tau) + ".csv"))
-    return [(base, meta, err) for base, meta, err, _ in results]
+    tasks = [(spec, replace(variant, seed=spec.seed)) for variant in variants for spec in game_specs]
+    batches = lockstep_batches([spec for spec, _ in tasks], jobs)
+    work = [[tasks[i] for i in batch] for batch in batches]
+    execute = functools.partial(_execute_batch, out_dir)
+    if jobs <= 1 or len(batches) <= 1:
+        done = [execute(batch) for batch in work]
+    else:
+        # Under fork the first submit starts every worker, so start no more than
+        # there are batches to run or cores to run them on.
+        workers = min(jobs, len(batches), len(os.sched_getaffinity(0)))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(execute, work))
+    logs = {i: log for batch, batch_logs in zip(batches, done) for i, log in zip(batch, batch_logs)}
+    outcomes, runs = [], {}  # runs: aggregate basename -> {run CSV path: its logged columns}
+    for i, (_, config) in enumerate(tasks):
+        base, log = run_basename(config.method, config.tau, config.seed), logs[i]
+        if isinstance(log, str):
+            outcomes.append(RunOutcome(base, None, log))
+            continue
+        outcomes.append(RunOutcome(base, meta_from_log(log), None))
+        variant_runs = runs.setdefault(agg_basename(config.method, config.tau), {})
+        variant_runs[os.path.join(out_dir, base + ".csv")] = {
+            "iter": log.iters, **{name: getattr(log, name) for name in CSV_COLUMNS}}
+    for agg, columns in runs.items():
+        aggregate_csvs(columns, os.path.join(out_dir, agg + ".csv"))
+    return outcomes
 
 
 def seeded_game_specs(kind: str, agents: int, actions: int, base_seed: int, runs: int) -> list[GameSpec]:

@@ -159,26 +159,14 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(rows - theta[:, None], 0.0).reshape(v.shape)
 
 
-def policy_to_csv(policy: JointPolicy, path_or_file) -> None:
+def policy_to_csv(policy: JointPolicy, path) -> None:
     """One row per agent, probabilities floored at PROB_FLOOR, 17 significant digits."""
     probs = np.maximum(policy.probs, PROB_FLOOR)
-    text = "\n".join(",".join(format(p, ".17g") for p in row) for row in probs) + "\n"
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w") as f:
-            f.write(text)
-    else:
-        path_or_file.write(text)
+    with open(path, "w") as f:
+        f.write("\n".join(",".join(format(p, ".17g") for p in row) for row in probs) + "\n")
 
 
-def policy_from_csv(path_or_file) -> JointPolicy:
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file) as f:
-            text = f.read()
-    else:
-        text = path_or_file.read()
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
+def policy_from_csv(path) -> JointPolicy:
+    with open(path) as f:
+        rows = [[float(tok) for tok in line.split(",")] for line in f if line.strip()]
     return JointPolicy.from_probs(np.array(rows, dtype=np.float64))

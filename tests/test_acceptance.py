@@ -71,8 +71,8 @@ def ensemble_dir(tmp_path_factory):
     variants = [RunConfig(method="npg", tau=tau, eta="auto", max_iters=ITERS[tau])
                 for tau in TAUS]
     variants.append(RunConfig(method="pg_direct", eta="auto", max_iters=PG_ITERS))
-    results = run_experiment(out, specs, variants, jobs=2)
-    errors = [(base, err) for base, _, err in results if err is not None]
+    outcomes = run_experiment(out, specs, variants, jobs=2)
+    errors = [outcome for outcome in outcomes if outcome.error is not None]
     assert not errors, f"runs failed during the ensemble: {errors}"
     return out
 

@@ -24,7 +24,6 @@ from inpg.harness import (
     check_monotone,
     check_sandwich,
     check_theorem1,
-    execute_runs,
     lockstep_batches,
     meta_from_log,
     plot_directory,
@@ -180,8 +179,8 @@ class TestExperiment:
     def test_runs_and_aggregates(self, tmp_path):
         out = str(tmp_path / "exp")
         specs = seeded_game_specs("identical", 2, 4, base_seed=5, runs=3)
-        results = run_experiment(out, specs, [RunConfig(method="npg", tau=0.2, max_iters=30)])
-        assert all(err is None for _, _, err in results)
+        outcomes = run_experiment(out, specs, [RunConfig(method="npg", tau=0.2, max_iters=30)])
+        assert all(outcome.error is None for outcome in outcomes)
         files = sorted(os.listdir(out))
         assert "agg_npg_tau0.2.csv" in files
         assert sum(f.endswith(".meta.json") for f in files) == 3
@@ -233,38 +232,26 @@ class TestExperiment:
 class TestLockstepBatches:
     def test_batches_split_at_the_byte_budget(self):
         specs = seeded_game_specs("identical", 5, 6, base_seed=1, runs=20)
-        config = RunConfig(method="npg", tau=0.1, max_iters=100)
-        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
         assert LOCKSTEP_BYTES // (8 * 6**5) == 16
-        assert [len(b) for b in lockstep_batches(tasks)] == [16, 4]
+        assert [len(b) for b in lockstep_batches(specs)] == [16, 4]
 
-    @pytest.mark.parametrize("steps", [(40_000,), (200, 16_000)], ids=["40000", "200+16000"])
-    def test_long_runs_batch_by_their_potentials_alone(self, steps):
-        # A run's record keeps a fixed size whatever its length, so only the
-        # potentials count: forty 800-byte 2x10 potentials fit one batch.
+    def test_long_runs_batch_by_their_potentials_alone(self):
+        # Batching reads only the game specs, never a run's length: a run's
+        # record keeps a fixed size, and forty 800-byte 2x10 potentials fit one batch.
         specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40)
-        config = RunConfig(method="npg", tau=0.1)
-        tasks = [(spec, replace(config, seed=spec.seed, max_iters=steps[k % len(steps)]), "out")
-                 for k, spec in enumerate(specs)]
-        assert [len(b) for b in lockstep_batches(tasks)] == [40]
+        assert [len(b) for b in lockstep_batches(specs)] == [40]
 
     @pytest.mark.parametrize("jobs,sizes", [(1, [40]), (2, [20, 20]), (3, [14, 14, 12])])
     def test_every_worker_gets_a_batch(self, jobs, sizes):
         specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40)
-        config = RunConfig(method="npg", tau=0.1, max_iters=200)
-        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in specs]
-        assert [len(b) for b in lockstep_batches(tasks, jobs)] == sizes
+        assert [len(b) for b in lockstep_batches(specs, jobs)] == sizes
 
     def test_runs_of_one_shape_share_a_batch_whatever_their_config(self):
-        config = RunConfig(method="npg", tau=0.1, max_iters=10)
         small = seeded_game_specs("identical", 2, 10, base_seed=1, runs=3)
-        tasks = [(spec, replace(config, seed=spec.seed), "out") for spec in small]
-        tasks += [(spec, replace(config, seed=spec.seed, tau=0.2), "out") for spec in small]
-        tasks += [(GameSpec(source="general", num_agents=2, num_actions=10, seed=9), config, "out")]
-        tasks += [(GameSpec(source="file", path="g.pg", seed=s), config, "out") for s in (1, 2)]
-        big = seeded_game_specs("identical", 4, 20, base_seed=1, runs=2)  # 1.28 MB each
-        tasks += [(spec, replace(config, seed=spec.seed), "out") for spec in big]
-        assert [len(b) for b in lockstep_batches(tasks)] == [7, 1, 1, 1, 1]
+        specs = small + small + [GameSpec(source="general", num_agents=2, num_actions=10, seed=9)]
+        specs += [GameSpec(source="file", path="g.pg", seed=s) for s in (1, 2)]
+        specs += seeded_game_specs("identical", 4, 20, base_seed=1, runs=2)  # 1.28 MB each
+        assert [len(b) for b in lockstep_batches(specs)] == [7, 1, 1, 1, 1]
 
     def test_variants_of_one_small_game_keep_their_bytes_for_any_jobs(self, tmp_path):
         # Both runs read one 2x10 spec. At --jobs 1 they share a lockstep batch,
@@ -281,13 +268,9 @@ class TestLockstepBatches:
         assert len(outputs[1]) == 2 * (3 + 1)
         assert outputs[1] == outputs[2]
         alone = tmp_path / "alone"
-        alone.mkdir()
         for variant in variants:
-            (result,) = execute_runs([(specs[0], replace(variant, seed=4), str(alone))])
-            assert result[2] is None
-            csv = str(alone / (run_basename(variant.method, variant.tau, 4) + ".csv"))
-            aggregate_csvs({csv: read_csv_columns(csv)},
-                           str(alone / (agg_basename(variant.method, variant.tau) + ".csv")))
+            (outcome,) = run_experiment(str(alone), specs, [variant])
+            assert outcome.error is None
         assert outputs[1] == {f.name: f.read_bytes() for f in sorted(alone.iterdir())}
 
     def test_two_specs_with_one_seed_raise_before_writing(self, tmp_path):
@@ -313,8 +296,8 @@ class TestLockstepBatches:
         alone.mkdir()
         for variant in variants:
             for spec in specs:
-                (result,) = execute_runs([(spec, replace(variant, seed=spec.seed), str(alone))])
-                assert result[2] is None
+                (outcome,) = run_experiment(str(alone), [spec], [variant])
+                assert outcome.error is None
             csvs = [str(alone / (run_basename(variant.method, variant.tau, spec.seed) + ".csv"))
                     for spec in specs]
             aggregate_csvs({p: read_csv_columns(p) for p in csvs},
@@ -539,6 +522,12 @@ def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("corrupt,match", [
     (lambda meta: {**meta, "num_steps": "x"}, "field 'num_steps' must be int"),
     (lambda meta: [meta], "not a JSON object"),
+    # Fields of the right type that no run could have written: RunConfig's rules, and sizes.
+    (lambda meta: {**meta, "tau": 0.0}, "npg requires a finite tau > 0"),
+    (lambda meta: {**meta, "method": "bogus"}, "unknown method 'bogus'"),
+    (lambda meta: {**meta, "num_steps": -5}, "field 'num_steps' must be >= 0, got -5"),
+    (lambda meta: {**meta, "eta": 10.0}, r"eta\*tau = 2 > 1"),
+    (lambda meta: {**meta, "num_agents": 0}, "field 'num_agents' must be >= 1, got 0"),
 ])
 def test_ill_typed_meta_file_fails_audit_in_one_line(tmp_path, capsys, corrupt, match):
     out = str(tmp_path / "exp")
@@ -590,11 +579,11 @@ def test_a_failing_run_leaves_no_files_and_the_others_aggregate(tmp_path, monkey
 
     monkeypatch.setattr(dynamics, "marginal_sweep", sweep)
     out = tmp_path / "res"
-    results = run_experiment(str(out), specs, [RunConfig(method="npg", tau=0.1, max_iters=30)])
+    outcomes = run_experiment(str(out), specs, [RunConfig(method="npg", tau=0.1, max_iters=30)])
     bases = [run_basename("npg", 0.1, spec.seed) for spec in specs]
-    assert [base for base, _, _ in results] == bases
-    assert [err is None for _, _, err in results] == [True, False, True]
-    assert "improvement check failed at t=0" in results[1][2]
+    assert [outcome.basename for outcome in outcomes] == bases
+    assert [outcome.error is None for outcome in outcomes] == [True, False, True]
+    assert "improvement check failed at t=0" in outcomes[1].error
     assert not list(out.glob(bases[1] + ".*"))
     kept = {str(out / (base + ".csv")): read_csv_columns(out / (base + ".csv"))
             for base in (bases[0], bases[2])}
@@ -607,24 +596,47 @@ def test_a_failing_run_leaves_no_files_and_the_others_aggregate(tmp_path, monkey
     assert captured.err.splitlines() == [f"FAILED: monotone ({bases[1]})"]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("blocked", [".csv", ".policy.csv"])
+def test_a_failed_write_fails_its_run_and_the_others_aggregate(tmp_path, capsys, jobs, blocked):
+    # A directory where a run's file goes: that run fails with a "write" error and
+    # leaves no meta file for audit, and the other run (a batch of its own at
+    # --jobs 2) still writes its files and the aggregate.
+    out, base = tmp_path / "out", "run_npg_tau0.1_seed1"
+    (out / (base + blocked)).mkdir(parents=True)
+    assert cli_main(["run", "--agents", "2", "--actions", "3", "--tau", "0.1", "--iters", "5",
+                     "--runs", "2", "--jobs", str(jobs), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"FAILED: write ({base})"]
+    failed = [line for line in captured.out.splitlines() if "FAILED" in line]
+    assert len(failed) == 1 and failed[0].startswith(f"{base}: FAILED check write: ")
+    assert not (out / (base + ".meta.json")).exists()
+    specs, config = seeded_game_specs("identical", 2, 3, base_seed=0, runs=1), RunConfig(
+        method="npg", tau=0.1, max_iters=5)
+    (outcome,) = run_experiment(str(tmp_path / "alone"), specs, [config])
+    assert outcome.error is None and outcome.meta["num_steps"] == 5
+    for name in ("run_npg_tau0.1_seed0.csv", "run_npg_tau0.1_seed0.meta.json", "agg_npg_tau0.1.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 def test_pool_starts_no_more_workers_than_batches(tmp_path, pool_starts):
-    tasks = []
+    specs = []
     for seed in range(3):  # each file game is a batch of its own
         path = str(tmp_path / f"g{seed}.pg")
         save_game(make_identical_interest(2, 3, seed), path)
-        tasks.append((GameSpec(source="file", path=path, seed=seed),
-                      RunConfig(method="npg", tau=0.1, max_iters=5, seed=seed), str(tmp_path)))
-    results = execute_runs(tasks, jobs=10_000)
-    assert all(err is None for _, _, err, _ in results)
+        specs.append(GameSpec(source="file", path=path, seed=seed))
+    config = RunConfig(method="npg", tau=0.1, max_iters=5)
+    outcomes = run_experiment(str(tmp_path / "out"), specs, [config], jobs=10_000)
+    assert all(outcome.error is None for outcome in outcomes)
     assert len(pool_starts) == 1 and 1 <= pool_starts[0] <= 3
 
 
 def test_small_games_take_the_pool_for_jobs_above_1(tmp_path, pool_starts):
     specs = seeded_game_specs("identical", 2, 3, base_seed=1, runs=4)
     config = RunConfig(method="npg", tau=0.1, max_iters=5)
-    assert len(lockstep_batches([(spec, config, str(tmp_path)) for spec in specs], jobs=2)) == 2
-    results = run_experiment(str(tmp_path), specs, [config], jobs=2)
-    assert all(err is None for _, _, err in results)
+    assert len(lockstep_batches(specs, jobs=2)) == 2
+    outcomes = run_experiment(str(tmp_path), specs, [config], jobs=2)
+    assert all(outcome.error is None for outcome in outcomes)
     assert len(pool_starts) == 1
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -222,23 +221,19 @@ class TestSimplexProjection:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, rng):
+    def test_csv_round_trip(self, rng, tmp_path):
         pol = JointPolicy.from_logits(rng.normal(size=(3, 4)))
-        buf = io.StringIO()
-        policy_to_csv(pol, buf)
-        buf.seek(0)
-        back = policy_from_csv(buf)
+        policy_to_csv(pol, tmp_path / "p.csv")
+        back = policy_from_csv(tmp_path / "p.csv")
         assert np.allclose(back.probs, pol.probs, rtol=0, atol=1e-16)
 
-    def test_csv_floors_underflow(self):
+    def test_csv_floors_underflow(self, tmp_path):
         lp = normalize_logs(np.array([[0.0, -800.0]]))
-        buf = io.StringIO()
-        policy_to_csv(JointPolicy(lp), buf)
-        row = buf.getvalue().splitlines()[0].split(",")
+        policy_to_csv(JointPolicy(lp), tmp_path / "p.csv")
+        row = (tmp_path / "p.csv").read_text().splitlines()[0].split(",")
         assert float(row[1]) == PROB_FLOOR
 
-    def test_csv_17_digits(self):
-        buf = io.StringIO()
-        policy_to_csv(uniform_policy(1, 3), buf)
-        text = buf.getvalue()
+    def test_csv_17_digits(self, tmp_path):
+        policy_to_csv(uniform_policy(1, 3), tmp_path / "p.csv")
+        text = (tmp_path / "p.csv").read_text()
         assert text.splitlines()[0].split(",")[0] == "0.33333333333333331"

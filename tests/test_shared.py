@@ -20,7 +20,6 @@ from inpg.game import make_general_potential, make_identical_interest, save_game
 from inpg.harness import (
     CSV_COLUMNS,
     GameSpec,
-    execute_runs,
     lockstep_batches,
     read_csv_columns,
     read_run_meta,
@@ -150,14 +149,12 @@ def test_file_games_run_every_variant_in_one_batch(tmp_path):
     specs = game_files(tmp_path)
     out = tmp_path / "shared"
     run_experiment(str(out), specs, MIX)
-    tasks = [(spec, dataclasses.replace(v, seed=spec.seed), str(out)) for v in MIX for spec in specs]
-    assert sorted(lockstep_batches(tasks)) == [[0, 2, 4, 6], [1, 3, 5, 7]]
+    assert sorted(lockstep_batches(specs * len(MIX))) == [[0, 2, 4, 6], [1, 3, 5, 7]]
     alone = tmp_path / "alone"
-    alone.mkdir()
-    for spec, config, _ in tasks:
-        base = run_basename(config.method, config.tau, config.seed)
-        (result,) = execute_runs([(spec, config, str(alone))])
-        assert result[2] is None
+    for config, spec in [(config, spec) for config in MIX for spec in specs]:
+        base = run_basename(config.method, config.tau, spec.seed)
+        (outcome,) = run_experiment(str(alone), [spec], [config])
+        assert outcome.error is None
         got, solo = (read_csv_columns(d / (base + ".csv")) for d in (out, alone))
         assert np.array_equal(got["iter"], solo["iter"])
         for name in CSV_COLUMNS:
@@ -183,13 +180,10 @@ def test_shared_experiment_bytes_do_not_depend_on_jobs(tmp_path):
 
 
 def test_large_games_share_a_batch_that_jobs_never_splits():
-    config = RunConfig(method="npg", tau=0.1, max_iters=10)
     big = [GameSpec(source="identical", num_agents=4, num_actions=20, seed=s) for s in (1, 2)]
     small = [GameSpec(source="identical", num_agents=2, num_actions=10, seed=s) for s in (1, 2, 3)]
-    variants = [config, dataclasses.replace(config, tau=0.2), RunConfig(method="pg_direct", max_iters=10)]
-    tasks = [(spec, dataclasses.replace(v, seed=spec.seed), "out") for v in variants
-             for spec in big + small]
+    specs = (big + small) * 3  # three variants' runs, variant-major
     for jobs in (1, 2, 3):
-        batches = lockstep_batches(tasks, jobs)
+        batches = lockstep_batches(specs, jobs)
         assert batches[:2] == [[0, 5, 10], [1, 6, 11]]
-        assert sorted(i for b in batches for i in b) == list(range(len(tasks)))
+        assert sorted(i for b in batches for i in b) == list(range(len(specs)))

@@ -10,7 +10,6 @@ from each wrap point.
 
 import os
 import sys
-from dataclasses import replace
 
 from inpg import game as game_mod
 from inpg import harness
@@ -58,8 +57,7 @@ def test_a_shared_batch_calls_every_dynamics_wrap_point(tmp_path):
                 RunConfig(method="pg_direct", max_iters=5)]
     spec = harness.GameSpec(source="file", path=path, seed=4)
     out = str(tmp_path / "out")
-    tasks = [(spec, replace(v, seed=4), out) for v in variants]
-    assert harness.lockstep_batches(tasks) == [[0, 1, 2]]
+    assert harness.lockstep_batches([spec] * len(variants)) == [[0, 1, 2]]
     tracer = spans.Tracer(points)
     with tracer:
         harness.run_experiment(out, [spec], variants)
