@@ -235,11 +235,21 @@ class TestLockstepBatches:
         assert LOCKSTEP_BYTES // (8 * 6**5) == 16
         assert [len(b) for b in lockstep_batches(specs)] == [16, 4]
 
-    def test_long_runs_batch_by_their_potentials_alone(self):
+    @pytest.mark.parametrize("steps", [(40_000,), (200, 16_000)], ids=["40000", "200+16000"])
+    def test_long_runs_batch_by_their_potentials_alone(self, steps, tmp_path, monkeypatch):
         # Batching reads only the game specs, never a run's length: a run's
-        # record keeps a fixed size, and forty 800-byte 2x10 potentials fit one batch.
-        specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40)
-        assert [len(b) for b in lockstep_batches(specs)] == [40]
+        # record keeps a fixed size, and forty 800-byte 2x10 potentials fit one
+        # batch. The batches run_experiment hands its workers are recorded, not run.
+        sizes = []
+        def record(out_dir, batch):
+            sizes.append(len(batch))
+            return ["not run"] * len(batch)
+        monkeypatch.setattr("inpg.harness._execute_batch", record)
+        specs = seeded_game_specs("identical", 2, 10, base_seed=1, runs=40 // len(steps))
+        variants = [RunConfig(method="npg", tau=0.1, max_iters=n) for n in steps]
+        assert [len(b) for b in lockstep_batches(specs * len(steps))] == [40]
+        run_experiment(str(tmp_path), specs, variants)
+        assert sizes == [40]
 
     @pytest.mark.parametrize("jobs,sizes", [(1, [40]), (2, [20, 20]), (3, [14, 14, 12])])
     def test_every_worker_gets_a_batch(self, jobs, sizes):
