@@ -13,8 +13,11 @@ sandwich) and the numbers behind them. A run that fails its monotone gate
 or whose files cannot be written prints one `FAILED check` line instead.
 `run` exits 0 when every check passes, 1 when a check or a run fails and 2
 on misuse (bad flags, an unreadable game file or an --out that cannot be
-made); `generate` exits 2 on misuse too, and `audit` exits 0 or 1. All
-outputs are deterministic for fixed flags and base seed.
+made); `generate` exits 2 on misuse too, and `audit` exits 0 or 1. A file
+that cannot be read or written ends a command in one line that names it:
+exit 2 for `generate`, and 1 for `plot`, `audit` and a `run` whose aggregate
+cannot be written (its run files stay). All outputs are deterministic for
+fixed flags and base seed.
 """
 
 from __future__ import annotations
@@ -78,18 +81,17 @@ def _cmd_generate(args) -> int:
         print("generate: --agents and --actions are required", file=sys.stderr)
         return 2
     maker = make_identical_interest if args.kind == "identical" else make_general_potential
+    base = os.path.join(args.out, f"game_{args.kind}_N{args.agents}_A{args.actions}_seed{args.seed}")
     try:
         game = maker(args.agents, args.actions, args.seed)
         os.makedirs(args.out, exist_ok=True)
+        save_game(game, base + ".pg")
+        with open(base + ".summary.txt", "w") as f:
+            f.write(summarize_game(game))
     except (OSError, ValueError) as exc:
         print(f"generate: {exc}", file=sys.stderr)
         return 2
-    base = f"game_{args.kind}_N{args.agents}_A{args.actions}_seed{args.seed}"
-    game_path = os.path.join(args.out, base + ".pg")
-    save_game(game, game_path)
-    with open(os.path.join(args.out, base + ".summary.txt"), "w") as f:
-        f.write(summarize_game(game))
-    print(game_path)
+    print(base + ".pg")
     return 0
 
 
@@ -118,8 +120,13 @@ def _cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return 2
 
+    try:
+        outcomes = run_experiment(args.out, specs, [config], jobs=args.jobs)
+    except OSError as exc:  # an aggregate that cannot be written; the run files stay
+        print(f"run: {exc}", file=sys.stderr)
+        return 1
     failed = []
-    for outcome in run_experiment(args.out, specs, [config], jobs=args.jobs):
+    for outcome in outcomes:
         if outcome.error is not None:
             print(f"{outcome.basename}: FAILED check {outcome.error}")
             failed.append((outcome.basename, outcome.error.partition(":")[0]))
@@ -137,7 +144,7 @@ def _cmd_run(args) -> int:
 def _cmd_plot(args) -> int:
     try:
         written = plot_directory(args.out)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"plot: {exc}", file=sys.stderr)
         return 1
     for path in written:
@@ -148,7 +155,7 @@ def _cmd_plot(args) -> int:
 def _cmd_audit(args) -> int:
     try:
         lines, ok = audit_directory(args.out)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"audit: {exc}", file=sys.stderr)
         return 1
     for line in lines:

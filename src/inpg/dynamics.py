@@ -405,8 +405,10 @@ class _Batch:
     """The live rows of a batch in method order, and each method group's parameters.
 
     Rows [0, n_reg) are npg, rows [0, n_upd) take npg_update_logs (npg and
-    mwu) and rows [n_upd, K) take the pg_direct step; each group is one slice
-    and one numpy call per operation. Rebuilt only when rows leave.
+    mwu) and rows [n_upd, K) take the pg_direct step. step and record take one
+    path: one slice and one numpy call per operation for each group with rows.
+    Only rows [0, n_upd) update in log space, so only they keep logs; a
+    pg_direct row keeps its probabilities. Rebuilt only when rows leave.
     """
 
     def __init__(self, rows: list[_Row]):
@@ -428,26 +430,18 @@ class _Batch:
         self.end = min(row.config.max_iters for row in rows)  # the first iterate a row ends at
 
     def step(self, rec: np.ndarray, j: int, lp, probs, r) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's new (log_probs, probs); writes the Jeffrey divergence into block column j.
-
-        pg_direct's projection can zero out actions, so its logs floor at PROB_FLOOR.
-        """
+        """The new (logs of rows [0, n_upd), probs of every row); writes their Jeffrey
+        divergence into block column j."""
         n = self.n_upd
-        if n == 0:
-            new_probs = pg_direct_update_probs(probs, r, self.eta_pg)
-            return np.log(np.maximum(new_probs, PROB_FLOOR)), new_probs
-        if n == len(lp):
-            new_lp = npg_update_logs(lp, r, self.eta_upd, self.tau_upd)
-            new_probs = np.exp(new_lp)
-            rec[_JEFFREY, j] = jeffrey_logs(new_probs, new_lp, probs, lp)
-            return new_lp, new_probs
-        new_lp, new_probs = np.empty_like(lp), np.empty_like(probs)
-        new_lp[:n] = npg_update_logs(lp[:n], r[:n], self.eta_upd, self.tau_upd)
-        new_probs[:n] = np.exp(new_lp[:n])
-        new_probs[n:] = pg_direct_update_probs(probs[n:], r[n:], self.eta_pg)
-        new_lp[n:] = np.log(np.maximum(new_probs[n:], PROB_FLOOR))
-        rec[_JEFFREY, j, :n] = jeffrey_logs(new_probs[:n], new_lp[:n], probs[:n], lp[:n])
-        return new_lp, new_probs
+        new_probs = np.empty_like(probs)
+        if n:
+            new_lp = npg_update_logs(lp, r[:n], self.eta_upd, self.tau_upd)
+            np.exp(new_lp, out=new_probs[:n])
+            rec[_JEFFREY, j, :n] = jeffrey_logs(new_probs[:n], new_lp, probs[:n], lp)
+            lp = new_lp
+        if n < len(probs):
+            new_probs[n:] = pg_direct_update_probs(probs[n:], r[n:], self.eta_pg)
+        return lp, new_probs
 
     def record(self, rec: np.ndarray, j: int, r, phi_mean, lp, probs) -> None:
         """Write an iterate's phi_tau and gaps into block column j, one entry per row.
@@ -458,17 +452,13 @@ class _Batch:
         values = policy_values(r, probs)  # shared by both gaps
         best = np.maximum.reduce(r, axis=-1)
         rec[_NE, j] = np.maximum.reduce(ne_gap_terms(best, values), axis=-1)
+        rec[_PHI_TAU, j] = phi_mean  # the npg rows add tau times their entropy
         n = self.n_reg
-        if n == 0:
-            rec[_PHI_TAU, j] = phi_mean
-            return
-        if n < len(r):  # the unregularized rows: phi_tau is the expected potential
-            rec[_PHI_TAU, j, n:] = phi_mean[n:]
-            r, phi_mean, lp, probs, values, best = (
-                r[:n], phi_mean[:n], lp[:n], probs[:n], values[:n], best[:n])
-        h = row_entropies(probs, lp)  # shared by phi_tau and the qre gap
-        rec[_PHI_TAU, j, :n] = phi_mean + self.tau_phi * np.add.reduce(h, axis=-1)
-        rec[_QRE, j, :n] = np.maximum.reduce(qre_gap_terms(r, best, values, h, self.tau_gap), axis=-1)
+        if n:
+            h = row_entropies(probs[:n], lp[:n])  # shared by phi_tau and the qre gap
+            rec[_PHI_TAU, j, :n] += self.tau_phi * np.add.reduce(h, axis=-1)
+            rec[_QRE, j, :n] = np.maximum.reduce(
+                qre_gap_terms(r[:n], best[:n], values[:n], h, self.tau_gap), axis=-1)
 
 
 def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], shared: bool) -> list:
@@ -487,8 +477,8 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
     else:  # stacked in row order
         potentials = np.stack([row.game.potential for row in rows])
     head = games[0]
-    lp = np.full((k, head.num_agents, head.num_actions), -math.log(head.num_actions))
-    probs = np.exp(lp)
+    uniform = np.full((k, head.num_agents, head.num_actions), -math.log(head.num_actions))
+    lp, probs = uniform[: batch.n_upd], np.exp(uniform)
     # Undefined quantities (qre_gap at tau = 0, Jeffrey for pg_direct) stay NaN:
     # nothing writes them, in this block or after a fold.
     rec = np.full((len(_ROWS), min(max(c.max_iters for c in configs) + 1, _RECORD_CHUNK), k), nan)
@@ -502,7 +492,9 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
 
     def finish(col: int, stopped_early: bool) -> None:
         row = batch.rows[col]
-        results[row.index] = row.finish(rec[:, : j + 1, col], base, stopped_early, lp[col])
+        # Only rows [0, n_upd) keep logs; pg_direct's projection can zero out actions.
+        logs = lp[col] if col < len(lp) else np.log(np.maximum(probs[col], PROB_FLOOR))
+        results[row.index] = row.finish(rec[:, : j + 1, col], base, stopped_early, logs)
 
     t = 0  # every live row is at iterate t
     while True:
@@ -532,7 +524,7 @@ def _run_batch(games: Sequence[PotentialGame], configs: Sequence[RunConfig], sha
             batch = _Batch([row for row, kept in zip(batch.rows, keep) if kept])
             if len(potentials) > 1:
                 potentials = potentials[keep]
-            lp, probs, r, rec = lp[keep], probs[keep], r[keep], rec[:, :, keep]
+            lp, probs, r, rec = lp[keep[: len(lp)]], probs[keep], r[keep], rec[:, :, keep]
         lp, probs = batch.step(rec, j, lp, probs, r)
         r, phi_mean = marginal_sweep(potentials, probs)
         if j + 1 == rec.shape[1]:  # full: fold all but iterate t, which the next gate reads

@@ -348,7 +348,7 @@ def lockstep_batches(specs: list[GameSpec], jobs: int = 1) -> list[list[int]]:
 
 class RunOutcome(NamedTuple):
     """One run: its files' basename, and its meta object or its error, "<check>: <message>"
-    ("monotone" for the runtime gate, "write" for its files)."""
+    ("monotone" for the runtime gate, "write" for its files, "game" for its game)."""
 
     basename: str
     meta: dict | None
@@ -358,14 +358,16 @@ class RunOutcome(NamedTuple):
 def _execute_batch(out_dir: str, batch: list[tuple[GameSpec, RunConfig]]) -> list[IterateLog | str]:
     """Worker: run one batch, and write each completed run's CSV, final policy and meta file.
 
-    Returns, per run in order, its IterateLog or its RunOutcome error. The
-    meta file is written last, so a run whose files fail to write leaves none.
+    Returns, per run in order, its IterateLog or its RunOutcome error. A game
+    that cannot be built or loaded fails every run of the batch. The meta file
+    is written last, so a run whose files fail to write leaves none.
     """
     spec, configs = batch[0][0], [config for _, config in batch]
-    if _shares_its_game(spec):
-        logs = run(spec.build(), configs)
-    else:
-        logs = run([spec.build() for spec, _ in batch], configs)
+    try:
+        games = spec.build() if _shares_its_game(spec) else [spec.build() for spec, _ in batch]
+    except (OSError, ValueError) as exc:
+        return [f"game: {exc}"] * len(batch)
+    logs = run(games, configs)
     results: list[IterateLog | str] = []
     for config, log in zip(configs, logs):
         if isinstance(log, MonotonicityError):

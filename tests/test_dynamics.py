@@ -364,3 +364,29 @@ def test_sweep_cut_keeps_every_bit_of_a_single_step(monkeypatch, method):
     cut = step()
     monkeypatch.setattr(_contract, "CUT", 0.0)
     assert cut.tobytes() == step().tobytes()
+
+
+@pytest.mark.parametrize("methods,calls", [
+    pytest.param(["npg"], {"npg_update_logs": 7, "jeffrey_logs": 7, "pg_direct_update_probs": 0},
+                 id="solo-npg"),
+    pytest.param(["pg_direct"], {"pg_direct_update_probs": 7, "npg_update_logs": 0,
+                                 "jeffrey_logs": 0, "row_entropies": 0, "qre_gap_terms": 0},
+                 id="solo-pg_direct"),
+    pytest.param(["npg", "pg_direct"], {"npg_update_logs": 7, "pg_direct_update_probs": 7},
+                 id="shared-npg-pg_direct"),
+])
+def test_the_step_calls_no_group_without_rows(monkeypatch, methods, calls):
+    # A method group with no row calls none of its step and record functions:
+    # even on an empty slice, project_simplex makes ~14 numpy calls.
+    counts = dict.fromkeys(("npg_update_logs", "pg_direct_update_probs", "jeffrey_logs",
+                            "row_entropies", "qre_gap_terms"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(dynamics, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dynamics, name, counted)
+    game = make_identical_interest(3, 4, 5)
+    configs = [RunConfig(method=m, tau=0.1 if m == "npg" else 0.0, max_iters=7) for m in methods]
+    logs = run(game, configs)
+    assert all(log.num_steps == 7 for log in logs)
+    assert {name: counts[name] for name in calls} == calls

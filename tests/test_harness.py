@@ -2,12 +2,14 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from inpg import dynamics
+from inpg import dynamics, harness
 from inpg.cli import main as cli_main
 from inpg.dynamics import RunConfig, RunSummary, run
 from inpg.game import PotentialGame, make_general_potential, make_identical_interest, save_game
@@ -627,6 +629,81 @@ def test_a_failed_write_fails_its_run_and_the_others_aggregate(tmp_path, capsys,
     assert outcome.error is None and outcome.meta["num_steps"] == 5
     for name in ("run_npg_tau0.1_seed0.csv", "run_npg_tau0.1_seed0.meta.json", "agg_npg_tau0.1.csv"):
         assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+def _one_small_run(out):
+    run_experiment(str(out), seeded_game_specs("identical", 2, 3, base_seed=0, runs=1),
+                   [RunConfig(method="npg", tau=0.1, max_iters=5)])
+
+
+@pytest.mark.parametrize("argv,blocked,setup,code", [
+    pytest.param(["generate", "--agents", "2", "--actions", "3"],
+                 "game_identical_N2_A3_seed0.pg", None, 2, id="generate-game"),
+    pytest.param(["generate", "--agents", "2", "--actions", "3"],
+                 "game_identical_N2_A3_seed0.summary.txt", None, 2, id="generate-summary"),
+    pytest.param(["plot"], "agg_npg_tau0.1.csv", None, 1, id="plot-reads-agg"),
+    pytest.param(["plot"], "fig_ne_gap.svg", _one_small_run, 1, id="plot-writes-fig"),
+    pytest.param(["audit"], "run_npg_tau0.1_seed9.meta.json", _one_small_run, 1, id="audit-meta"),
+    pytest.param(["run", "--agents", "2", "--actions", "3", "--tau", "0.1", "--iters", "5"],
+                 "agg_npg_tau0.1.csv", None, 1, id="run-writes-agg"),
+])
+def test_a_file_that_cannot_be_read_or_written_ends_in_one_line(tmp_path, argv, blocked, setup, code):
+    # A directory where the command reads or writes a file. The CLI runs in a
+    # subprocess, so a traceback would show on its stderr.
+    out = tmp_path / "out"
+    if setup is not None:
+        setup(out)
+    (out / blocked).mkdir(parents=True)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "inpg", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(argv[0] + ": ") and blocked in err[0]
+    if argv[0] == "run":  # the runs finished and their files stay for audit
+        assert cli_main(["audit", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("broken", ["missing", "corrupt"])
+def test_a_game_that_cannot_be_loaded_fails_its_runs_and_the_others_aggregate(
+        tmp_path, jobs, broken):
+    path = tmp_path / "game.pg"
+    if broken == "corrupt":
+        path.write_bytes(b"NOTAGAME" + b"\x00" * 64)
+    specs = [GameSpec(source="file", path=str(path), seed=1),
+             GameSpec(source="identical", num_agents=2, num_actions=3, seed=2)]
+    config = RunConfig(method="npg", tau=0.1, max_iters=5)
+    out = tmp_path / "out"
+    bad, good = run_experiment(str(out), specs, [config], jobs=jobs)
+    assert bad.basename == "run_npg_tau0.1_seed1" and bad.meta is None
+    assert bad.error.startswith("game: ") and str(path) in bad.error
+    assert good.error is None
+    run_experiment(str(tmp_path / "alone"), specs[1:], [config])
+    written = sorted(f.name for f in out.iterdir())
+    assert written == sorted(f.name for f in (tmp_path / "alone").iterdir())
+    for name in written:
+        assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+def test_run_reports_a_game_its_worker_cannot_load(tmp_path, monkeypatch, capsys):
+    # The file passes run's own check, then is gone when the worker loads it.
+    path = str(tmp_path / "game.pg")
+    save_game(make_identical_interest(2, 3, 7), path)
+
+    def gone(p):
+        raise FileNotFoundError(f"No such file or directory: {p!r}")
+
+    monkeypatch.setattr(harness, "load_game", gone)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--game", path, "--tau", "0.1", "--iters", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    base = "run_npg_tau0.1_seed7"
+    assert captured.out.splitlines() == [f"{base}: FAILED check game: No such file or directory: {path!r}"]
+    assert captured.err.splitlines() == [f"FAILED: game ({base})"]
+    assert list(out.iterdir()) == []
 
 
 def test_pool_starts_no_more_workers_than_batches(tmp_path, pool_starts):

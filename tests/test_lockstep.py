@@ -14,6 +14,7 @@ import pytest
 from inpg import dynamics
 from inpg.dynamics import IterateLog, MonotonicityError, RunConfig, run
 from inpg.game import PotentialGame, make_general_potential, make_identical_interest
+from inpg.policy import uniform_policy
 
 METHODS = [("npg", 0.1), ("mwu", 0.0), ("pg_direct", 0.0)]
 SHAPES = [("identical", 1, 3), ("identical", 2, 10), ("general", 3, 4), ("identical", 5, 6)]
@@ -70,6 +71,7 @@ MIXED = [
     RunConfig(method="npg", tau=0.2, max_iters=300, stop_qre_gap=1e-3),
     RunConfig(method="mwu", max_iters=80),
     RunConfig(method="pg_direct", max_iters=250),
+    RunConfig(method="pg_direct", max_iters=30),  # leaves before every npg or mwu row
 ]
 
 
@@ -140,9 +142,13 @@ def test_a_longer_batch_holds_only_its_extra_logged_rows():
 
 
 def test_zero_steps():
+    uniform = uniform_policy(2, 5).log_probs.tobytes()
     for method, tau in METHODS:
         games, configs = batch("identical", 2, 5, 3, method=method, tau=tau, max_iters=0)
-        assert_same_as_solo(games, configs, run(games, configs))
+        results = run(games, configs)
+        assert_same_as_solo(games, configs, results)
+        # A pg_direct row's logs are taken from its probabilities: log(exp(-log 5)).
+        assert [log.final_policy.log_probs.tobytes() for log in results] == [uniform] * 3
 
 
 def test_runs_that_stop_early_leave_the_batch():
