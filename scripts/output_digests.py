@@ -3,8 +3,10 @@
 
     python3 scripts/output_digests.py --root <checkout> --out <empty dir>
 
-Runs each command below against `<root>/src` in a fresh subprocess, each into
-its own subdirectory of --out, then runs `inpg audit` on every subdirectory.
+Runs each command below against `<root>/src`, each into its own subdirectory
+of --out, then runs `inpg audit` on every subdirectory. A command is one or
+more argvs, each run in order in a fresh subprocess with `--out <subdirectory>`
+appended and `{out}` replaced by that subdirectory.
 Prints one `sha256  relpath` line per output file and one per audit stdout
 (`relpath` is `<dir>/audit.stdout`). Two checkouts produce byte-identical
 outputs exactly when their printed lines are equal. Exits 1 if any command or
@@ -27,6 +29,10 @@ with two workers, so they step as two batches of 4, one per worker.
 `noncompliant` runs npg with `--eta 1.2`, above the guaranteed rate, so its
 `audit.stdout` holds the lines `audit` prints where Theorem 1 does not apply;
 every other command runs at `--eta auto`.
+
+`file` runs `inpg generate`, then `inpg run --game` on the file it wrote, so
+its digests cover the game file, its summary and a run named by the file's
+seed.
 """
 
 import argparse
@@ -37,7 +43,7 @@ import sys
 
 SMALL = ["--agents", "2", "--actions", "3"]
 
-# (subdirectory, command after the interpreter; "inpg" runs the package's CLI)
+# (subdirectory, then each argv after the interpreter; "inpg" runs the package's CLI)
 COMMANDS = (
     ("fig", ["scripts/reproduce_figures.py", "--quick", "--runs", "2", "--jobs", "2"]),
     ("gen", ["inpg", "run", "--kind", "general", "--agents", "3", "--actions", "4",
@@ -62,10 +68,13 @@ COMMANDS = (
                  "--runs", "8", "--jobs", "2", "--iters", "200"]),
     ("noncompliant", ["inpg", "run", "--agents", "2", "--actions", "4", "--seed", "3",
                       "--tau", "0.2", "--eta", "1.2", "--iters", "10"]),
+    ("file", ["inpg", "generate", "--kind", "general", "--agents", "3", "--actions", "4", "--seed", "5"],
+     ["inpg", "run", "--game", "{out}/game_general_N3_A4_seed5.pg", "--tau", "0.1", "--iters", "300"]),
 )
 
 
 def _run(root: str, args: list[str], out_dir: str) -> subprocess.CompletedProcess:
+    args = [arg.replace("{out}", out_dir) for arg in args]
     if args[0] == "inpg":
         argv = [sys.executable, "-m", "inpg", *args[1:]]
     else:
@@ -87,9 +96,9 @@ def main() -> int:
 
     failed = []
     digests = []
-    for name, command in COMMANDS:
+    for name, *command in COMMANDS:
         out_dir = os.path.join(out, name)
-        for argv in (command, ["inpg", "audit"]):
+        for argv in (*command, ["inpg", "audit"]):
             proc = _run(root, argv, out_dir)
             if proc.returncode != 0:
                 failed.append(f"{name}: {' '.join(argv)} exited {proc.returncode}: "

@@ -27,7 +27,7 @@ import os
 import sys
 
 from .dynamics import METHODS, RunConfig
-from .game import load_game, make_general_potential, make_identical_interest, save_game, summarize_game
+from .game import load_game, save_game, summarize_game
 from .harness import (
     GameSpec,
     audit_directory,
@@ -80,10 +80,9 @@ def _cmd_generate(args) -> int:
     if args.agents is None or args.actions is None:
         print("generate: --agents and --actions are required", file=sys.stderr)
         return 2
-    maker = make_identical_interest if args.kind == "identical" else make_general_potential
     base = os.path.join(args.out, f"game_{args.kind}_N{args.agents}_A{args.actions}_seed{args.seed}")
     try:
-        game = maker(args.agents, args.actions, args.seed)
+        game = GameSpec(args.kind, args.agents, args.actions, args.seed).build()
         os.makedirs(args.out, exist_ok=True)
         save_game(game, base + ".pg")
         with open(base + ".summary.txt", "w") as f:

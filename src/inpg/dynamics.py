@@ -116,7 +116,7 @@ def tau_for_epsilon_ne(epsilon: float, num_actions: int) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One learning run: method, regularization, step size, budget and stopping rule.
+    """A run's algorithm settings: method, regularization, step size, budget and stopping rule.
 
     eta may be the string "auto": npg/mwu resolve to default_learning_rate and
     pg_direct to pg_direct_learning_rate. The logging cadence is fixed (see
@@ -127,7 +127,6 @@ class RunConfig:
     tau: float = 0.0
     eta: float | str = "auto"
     max_iters: int = 1000
-    seed: int = 0
     stop_qre_gap: float | None = None
 
     def __post_init__(self):
@@ -376,7 +375,7 @@ class _Row:
         self.logged.clear()  # the row outlives its run in the batch's list
         game, config = self.game, self.config
         return IterateLog(
-            method=config.method, tau=config.tau, eta=self.eta, seed=config.seed,
+            method=config.method, tau=config.tau, eta=self.eta, seed=game.seed,
             num_agents=game.num_agents, num_actions=game.num_actions, phi_max=game.phi_max,
             game_kind=game.kind, game_seed=game.seed, num_steps=int(iters[-1]),
             iters=iters, phi_tau=phi_tau, ne_gap=ne, qre_gap=qre, jeffrey_step=jeffrey,

@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -137,6 +137,8 @@ def read_run_meta(path) -> RunSummary:
     for name, least in (("num_agents", 1), ("num_actions", 1), ("num_steps", 0)):
         if not getattr(summary, name) >= least:
             raise ValueError(f"{path}: field {name!r} must be >= {least}, got {meta[name]!r}")
+    if summary.seed != summary.game_seed:  # a run's seed is its game's
+        raise ValueError(f"{path}: field 'seed' is {summary.seed} but 'game_seed' is {summary.game_seed}")
     try:  # the method, tau and eta a run could have been configured with
         RunConfig(method=summary.method, tau=summary.tau, eta=summary.eta)
     except ParameterError as exc:
@@ -278,7 +280,11 @@ def audit_lines(summary: RunSummary) -> tuple[list[str], list[str]]:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Where a run's game comes from: a generator call or a file."""
+    """The one description of a run's game: a generator's kind, shape and seed, or a file.
+
+    A run is its game plus its RunConfig, and the seed names the run's files. A
+    file spec's seed must be its file's seed; build raises ValueError otherwise.
+    """
 
     source: str  # "identical" | "general" | "file"
     num_agents: int = 0
@@ -286,12 +292,19 @@ class GameSpec:
     seed: int = 0
     path: str = ""
 
+    def __post_init__(self):
+        if self.source not in ("identical", "general", "file"):
+            raise ValueError(f"unknown game source {self.source!r}; expected identical, general or file")
+
     def build(self) -> PotentialGame:
         if self.source == "identical":
             return make_identical_interest(self.num_agents, self.num_actions, self.seed)
         if self.source == "general":
             return make_general_potential(self.num_agents, self.num_actions, self.seed)
-        return load_game(self.path)
+        game = load_game(self.path)
+        if game.seed != self.seed:
+            raise ValueError(f"{self.path}: the file's seed is {game.seed}, the spec's {self.seed}")
+        return game
 
 
 # Most bytes of stacked potentials, which the sweep reads every step, one
@@ -369,11 +382,11 @@ def _execute_batch(out_dir: str, batch: list[tuple[GameSpec, RunConfig]]) -> lis
         return [f"game: {exc}"] * len(batch)
     logs = run(games, configs)
     results: list[IterateLog | str] = []
-    for config, log in zip(configs, logs):
+    for (spec, config), log in zip(batch, logs):
         if isinstance(log, MonotonicityError):
             results.append(f"monotone: {log}")
             continue
-        path = os.path.join(out_dir, run_basename(config.method, config.tau, config.seed))
+        path = os.path.join(out_dir, run_basename(config.method, config.tau, spec.seed))
         try:
             write_run_csv(log, path + ".csv")
             policy_to_csv(log.final_policy, path + ".policy.csv")
@@ -420,7 +433,7 @@ def run_experiment(
         repeated = next(seed for seed in seeds if seeds.count(seed) > 1)
         raise ValueError(f"two game specs have seed {repeated}, which names their runs' files")
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(spec, replace(variant, seed=spec.seed)) for variant in variants for spec in game_specs]
+    tasks = [(spec, variant) for variant in variants for spec in game_specs]
     batches = lockstep_batches([spec for spec, _ in tasks], jobs)
     work = [[tasks[i] for i in batch] for batch in batches]
     execute = functools.partial(_execute_batch, out_dir)
@@ -434,8 +447,8 @@ def run_experiment(
             done = list(pool.map(execute, work))
     logs = {i: log for batch, batch_logs in zip(batches, done) for i, log in zip(batch, batch_logs)}
     outcomes, runs = [], {}  # runs: aggregate basename -> {run CSV path: its logged columns}
-    for i, (_, config) in enumerate(tasks):
-        base, log = run_basename(config.method, config.tau, config.seed), logs[i]
+    for i, (spec, config) in enumerate(tasks):
+        base, log = run_basename(config.method, config.tau, spec.seed), logs[i]
         if isinstance(log, str):
             outcomes.append(RunOutcome(base, None, log))
             continue

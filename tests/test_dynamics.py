@@ -87,6 +87,12 @@ class TestNpgStep:
         with pytest.raises(ParameterError, match="negative"):
             npg_step(game, uniform_policy(2, 3), eta=3.0, tau=0.5)
 
+    @pytest.mark.parametrize("tau", [-1.0, math.inf])
+    def test_tau_outside_its_range_rejected(self, tau):
+        game = make_identical_interest(2, 3, seed=0)
+        with pytest.raises(ParameterError, match="tau must be nonnegative and finite"):
+            npg_step(game, uniform_policy(2, 3), eta=0.1, tau=tau)
+
     def test_agent_relabeling_equivariance(self, rng):
         # Relabeling agents before the update equals relabeling after it:
         # each agent's update reads only its own (policy, marginal) pair.
@@ -334,7 +340,7 @@ def test_sweep_cut_keeps_every_bit(monkeypatch):
     # Under tau = 1e-4 this run drives probabilities into the subnormal range from
     # about step 3,800, so the cut drops terms from the sweep on the later steps.
     game = make_identical_interest(4, 20, 12)
-    config = RunConfig(method="npg", tau=1e-4, max_iters=5000, seed=12)
+    config = RunConfig(method="npg", tau=1e-4, max_iters=5000)
     cut = run(game, config)
     assert np.exp(cut.final_policy.log_probs).min() < _contract.CUT
     monkeypatch.setattr(_contract, "CUT", 0.0)

@@ -44,6 +44,16 @@ def exhaustive_potential_scan(game, tol=1e-12):
     return True
 
 
+@pytest.mark.parametrize("potential,dummies,match", [
+    pytest.param(np.zeros((3, 2)), (), r"potential shape \(3, 2\) != \(3, 3\)", id="potential"),
+    pytest.param(np.zeros((3, 3)), (np.zeros(3),), "need no dummy terms or 2", id="dummy-count"),
+    pytest.param(np.zeros((3, 3)), (np.zeros(3), np.zeros(2)), r"of shape \(3,\)", id="dummy-shape"),
+])
+def test_bad_tensor_shapes_rejected(potential, dummies, match):
+    with pytest.raises(ValueError, match=match):
+        PotentialGame(2, 3, potential, dummies, phi_max=1.0)
+
+
 class TestIdenticalInterest:
     def test_section5_size_and_range(self):
         game = make_identical_interest(4, 20, seed=7)
@@ -283,6 +293,7 @@ class TestSerialization:
         pytest.param(2, 1.0, 0.5, math.nan, "custom", "utility entries", id="v2-dummy-nan"),
         pytest.param(2, 1.0, 0.5, 0.25, "identical", "nonzero dummy term 1",
                      id="v2-identical-nonzero-dummy"),
+        pytest.param(3, 1.0, 0.5, 0.0, "custom", "unsupported format version 3", id="version-3"),
     ])
     def test_bad_content_rejected(self, tmp_path, version, phi_max, phi_entry, entry, kind, match):
         phi = np.full((3, 3), 0.5)
@@ -296,6 +307,10 @@ class TestSerialization:
             c = np.zeros(3)
             c[2] = entry
             save_game(PotentialGame(2, 3, phi, (np.zeros(3), c), phi_max=phi_max, kind=kind), path)
+        if version == 3:  # a format 2 file under a version no reader knows
+            data = bytearray(path.read_bytes())
+            data[8:12] = struct.pack("<I", 3)
+            path.write_bytes(data)
         with pytest.raises(ValueError, match=match) as info:
             load_game(path)
         assert str(path) in str(info.value)

@@ -133,7 +133,7 @@ class TestAggregate:
         game_b = make_identical_interest(2, 4, seed=2)
         paths = []
         for k, g in enumerate((game_a, game_b)):
-            log = run(g, RunConfig(method="npg", tau=0.2, max_iters=20, seed=k))
+            log = run(g, RunConfig(method="npg", tau=0.2, max_iters=20))
             p = tmp_path / f"run_{k}.csv"
             write_run_csv(log, p)
             paths.append(str(p))
@@ -479,6 +479,8 @@ def test_which_checks_apply_and_which_print_a_line(config, applies, printed):
     pytest.param(["--game", "{tmp}/phi_max0.pg", "--tau", "0.1"], id="zero-phi-max"),
     pytest.param(["--game", "{tmp}/nan.pg", "--tau", "0.1"], id="nan-entries"),
     pytest.param(["--game", "{tmp}/non_potential.pg", "--tau", "0.1"], id="non-potential"),
+    pytest.param(["--game", "{tmp}/v3.pg", "--tau", "0.1"], id="format-version-3"),
+    pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--iters", "-1"], id="iters-negative"),
     pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--runs", "0"], id="runs-0"),
     pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--jobs", "0"], id="jobs-0"),
     pytest.param(["--agents", "2", "--actions", "3", "--tau", "0.1", "--jobs", "-3"], id="jobs-negative"),
@@ -498,6 +500,10 @@ def test_run_misuse_exits_2_before_writing(tmp_path, capsys, argv):
     save_game(PotentialGame(2, 3, nans, (), phi_max=1.0), tmp_path / "nan.pg")
     phi = np.array([[1.0, 0.0], [0.0, 0.0]])  # both agents get 1 - phi: not a potential game
     write_v1_game(tmp_path / "non_potential.pg", phi, (1.0 - phi, 1.0 - phi), phi_max=1.0)
+    save_game(make_identical_interest(2, 3, 0), tmp_path / "v3.pg")
+    with open(tmp_path / "v3.pg", "r+b") as f:  # the version field follows the 8-byte magic
+        f.seek(8)
+        f.write((3).to_bytes(4, "little"))
     out = tmp_path / "res"
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli_main(["run", *argv, "--out", str(out)]) == 2
@@ -540,6 +546,7 @@ def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, argv):
     (lambda meta: {**meta, "num_steps": -5}, "field 'num_steps' must be >= 0, got -5"),
     (lambda meta: {**meta, "eta": 10.0}, r"eta\*tau = 2 > 1"),
     (lambda meta: {**meta, "num_agents": 0}, "field 'num_agents' must be >= 1, got 0"),
+    (lambda meta: {**meta, "seed": 9}, "field 'seed' is 9 but 'game_seed' is 5"),
 ])
 def test_ill_typed_meta_file_fails_audit_in_one_line(tmp_path, capsys, corrupt, match):
     out = str(tmp_path / "exp")
@@ -667,12 +674,14 @@ def test_a_file_that_cannot_be_read_or_written_ends_in_one_line(tmp_path, argv, 
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("broken", ["missing", "corrupt"])
+@pytest.mark.parametrize("broken", ["missing", "corrupt", "other-seed"])
 def test_a_game_that_cannot_be_loaded_fails_its_runs_and_the_others_aggregate(
         tmp_path, jobs, broken):
     path = tmp_path / "game.pg"
     if broken == "corrupt":
         path.write_bytes(b"NOTAGAME" + b"\x00" * 64)
+    if broken == "other-seed":  # a sound file whose seed is not its spec's
+        save_game(make_identical_interest(2, 3, 4), path)
     specs = [GameSpec(source="file", path=str(path), seed=1),
              GameSpec(source="identical", num_agents=2, num_actions=3, seed=2)]
     config = RunConfig(method="npg", tau=0.1, max_iters=5)
@@ -686,6 +695,15 @@ def test_a_game_that_cannot_be_loaded_fails_its_runs_and_the_others_aggregate(
     assert written == sorted(f.name for f in (tmp_path / "alone").iterdir())
     for name in written:
         assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: GameSpec(source="identicial", num_agents=2, num_actions=3, seed=1), id="spec"),
+    pytest.param(lambda: seeded_game_specs("bogus", 2, 3, 0, 1), id="seeded"),
+])
+def test_an_unknown_game_source_is_rejected(make):
+    with pytest.raises(ValueError, match="unknown game source"):
+        make()
 
 
 def test_run_reports_a_game_its_worker_cannot_load(tmp_path, monkeypatch, capsys):

@@ -52,7 +52,7 @@ def assert_same_as_solo(games, configs, results):
 
 def batch(kind, agents, actions, k, **config):
     games = [make(kind, agents, actions, 11 + s) for s in range(k)]
-    configs = [RunConfig(seed=11 + s, **config) for s in range(k)]
+    configs = [RunConfig(**config) for _ in range(k)]
     return games, configs
 
 
@@ -79,7 +79,7 @@ MIXED = [
 def test_mixed_configs_match_solo_runs(agents, actions):
     # Identical and general games alternate, so each config meets both kinds.
     games = [make("identical" if s % 2 else "general", agents, actions, 30 + s) for s in range(11)]
-    configs = [dataclasses.replace(MIXED[s % len(MIXED)], seed=30 + s) for s in range(11)]
+    configs = [MIXED[s % len(MIXED)] for s in range(11)]
     assert_same_as_solo(games, configs, run(games, configs))
 
 
@@ -113,10 +113,10 @@ def test_rows_that_cross_two_folds_match_their_runs_alone(monkeypatch):
     # holds its whole record in one block, so the folds must give the bits of a
     # record never folded.
     games = [make_identical_interest(2, 10, 11 + s) for s in range(4)]
-    configs = [RunConfig(method="npg", tau=0.01, max_iters=2500, stop_qre_gap=1e-8, seed=11),
-               RunConfig(method="npg", tau=0.1, max_iters=2500, seed=12),
-               RunConfig(method="mwu", max_iters=2500, seed=13),
-               RunConfig(method="pg_direct", max_iters=2500, seed=14)]
+    configs = [RunConfig(method="npg", tau=0.01, max_iters=2500, stop_qre_gap=1e-8),
+               RunConfig(method="npg", tau=0.1, max_iters=2500),
+               RunConfig(method="mwu", max_iters=2500),
+               RunConfig(method="pg_direct", max_iters=2500)]
     results = run(games, configs)
     assert [log.num_steps for log in results] == [2197, 2500, 2500, 2500]
     monkeypatch.setattr(dynamics, "_RECORD_CHUNK", 10**6)
@@ -177,7 +177,7 @@ def test_a_failing_run_leaves_the_batch_and_the_others_go_on(monkeypatch):
     monkeypatch.setattr(dynamics, "marginal_sweep", sweep)
     games = [make_identical_interest(2, 2, s) for s in range(3)]
     games.insert(1, bad)
-    configs = [RunConfig(method="npg", tau=0.1, max_iters=50, seed=s) for s in range(4)]
+    configs = [RunConfig(method="npg", tau=0.1, max_iters=50) for s in range(4)]
     results = run(games, configs)
     assert isinstance(results[1], MonotonicityError) and results[1].t == 0
     assert all(isinstance(results[c], IterateLog) for c in (0, 2, 3))

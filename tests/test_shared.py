@@ -123,8 +123,8 @@ def test_sweep_cut_keeps_every_bit_of_a_shared_row(monkeypatch):
     # subnormal probabilities, and the Kronecker rows drop factors below
     # CUT ** (1/3) well before that.
     game = make_identical_interest(4, 20, 12)
-    configs = [RunConfig(method="npg", tau=1e-4, max_iters=5000, seed=12),
-               RunConfig(method="npg", tau=1e-3, max_iters=5000, seed=12)]
+    configs = [RunConfig(method="npg", tau=1e-4, max_iters=5000),
+               RunConfig(method="npg", tau=1e-3, max_iters=5000)]
     cut = run(game, configs)
     assert np.exp(cut[0].final_policy.log_probs).min() < _contract.CUT
     monkeypatch.setattr(_contract, "CUT", 0.0)
